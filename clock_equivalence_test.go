@@ -12,7 +12,6 @@ package sfence_test
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,18 +41,6 @@ func naiveRun(t *testing.T, m *machine.Machine) int64 {
 		m.Step()
 	}
 	return m.Cycle()
-}
-
-func imageHash(m *machine.Machine) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, w := range m.Image().Snapshot() {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(w >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }
 
 // snapshotSansClock strips the "machine.clock." subtree from a snapshot:
@@ -110,8 +97,9 @@ func assertMachinesEqual(t *testing.T, name string, naive, event *machine.Machin
 	if hn, he := naive.Hierarchy().TotalStats(), event.Hierarchy().TotalStats(); !reflect.DeepEqual(hn, he) {
 		t.Errorf("%s: hierarchy stats diverged:\nnaive %+v\nevent %+v", name, hn, he)
 	}
-	if hn, he := imageHash(naive), imageHash(event); hn != he {
-		t.Errorf("%s: memory image diverged (fnv64a %x vs %x)", name, hn, he)
+	if addr, differ := naive.Image().FirstDiff(event.Image()); differ {
+		t.Errorf("%s: memory image diverged at addr %d: naive %d, event %d",
+			name, addr, naive.Image().Load(addr), event.Image().Load(addr))
 	}
 }
 
@@ -125,12 +113,7 @@ func buildKernelMachine(t *testing.T, bench string, opts kernels.Options, cfg ma
 	if err != nil {
 		t.Fatalf("machine for %s: %v", bench, err)
 	}
-	for addr, val := range k.MemInit {
-		m.Image().Store(addr, val)
-	}
-	if k.InitImage != nil {
-		k.InitImage(m.Image())
-	}
+	k.LoadImage(m.Image())
 	return k, m
 }
 

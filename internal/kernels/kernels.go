@@ -117,6 +117,17 @@ type Kernel struct {
 	Regions []scopecheck.Region
 }
 
+// LoadImage writes the kernel's initial data into img: the MemInit words,
+// then InitImage's bulk initialization.
+func (k *Kernel) LoadImage(img *memsys.Image) {
+	for addr, val := range k.MemInit {
+		img.Store(addr, val)
+	}
+	if k.InitImage != nil {
+		k.InitImage(img)
+	}
+}
+
 // Builder constructs a kernel from options.
 type Builder func(opts Options) (*Kernel, error)
 
@@ -282,12 +293,7 @@ func RunInstrumented(ctx context.Context, k *Kernel, cfg machine.Config, tracer 
 			m.Core(i).SetObserver(obs)
 		}
 	}
-	for addr, val := range k.MemInit {
-		m.Image().Store(addr, val)
-	}
-	if k.InitImage != nil {
-		k.InitImage(m.Image())
-	}
+	k.LoadImage(m.Image())
 	cycles, err := m.Run(ctx)
 	if err != nil {
 		return Result{}, fmt.Errorf("kernels: %s: %w", k.Name, err)

@@ -1,17 +1,42 @@
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // WordBytes is the size of every memory access.
 const WordBytes = 8
 
-// Image is the flat, word-addressable backing store shared by all cores.
+// An Image page is 4 KiB, so the page table of the default 64 MiB image
+// is 16384 entries (128 KiB). Kernels lay their data out contiguously, so
+// the page size barely moves what a run allocates: with 4, 8 or 32 KiB
+// pages, a T+S pair of each Table IV kernel allocated within 0.25 MiB of
+// the same total.
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+)
+
+// page is one lazily allocated block of an Image.
+type page [pageWords]int64
+
+// Image is the word-addressable backing store shared by all cores.
 // Addresses are byte addresses and must be WordBytes-aligned for
 // architectural accesses. The image size is a power of two; Norm wraps any
 // address into range, which the core model uses to keep speculative
 // wrong-path accesses harmless.
+//
+// The address space is fixed at construction, but storage is paged and
+// filled lazily: a page is allocated by the first store to it, and every
+// word of a page never stored to reads as zero. Building an image thus
+// costs its page table, not its size, and loads (wrong-path ones
+// included) never allocate. Stores to distinct words may run
+// concurrently, as the parallel epoch runner's cores do; a missing page
+// is installed with a compare-and-swap so racing first stores agree on
+// one page.
 type Image struct {
-	words []int64
+	pages []atomic.Pointer[page]
 	mask  int64 // byte-address mask (size-1, with low 3 bits cleared by Norm)
 }
 
@@ -23,7 +48,7 @@ func NewImage(sizeBytes int64) *Image {
 		size <<= 1
 	}
 	return &Image{
-		words: make([]int64, size/WordBytes),
+		pages: make([]atomic.Pointer[page], (size/WordBytes+pageWords-1)/pageWords),
 		mask:  size - 1,
 	}
 }
@@ -42,32 +67,94 @@ func (im *Image) Valid(addr int64) bool {
 	return addr >= 0 && addr <= im.mask && addr%WordBytes == 0
 }
 
-// Load returns the word at addr (normalized).
+// locate returns the page slot and in-page word index of addr (normalized).
+func (im *Image) locate(addr int64) (*atomic.Pointer[page], int64) {
+	w := im.Norm(addr) / WordBytes
+	return &im.pages[w>>pageShift], w & (pageWords - 1)
+}
+
+// Load returns the word at addr (normalized); a never-written word is 0.
 func (im *Image) Load(addr int64) int64 {
-	return im.words[im.Norm(addr)/WordBytes]
+	slot, i := im.locate(addr)
+	if p := slot.Load(); p != nil {
+		return p[i]
+	}
+	return 0
 }
 
-// Store writes the word at addr (normalized).
+// Store writes the word at addr (normalized), allocating its page on the
+// first store to it.
 func (im *Image) Store(addr, val int64) {
-	im.words[im.Norm(addr)/WordBytes] = val
+	slot, i := im.locate(addr)
+	p := slot.Load()
+	if p == nil {
+		p = install(slot)
+	}
+	p[i] = val
 }
 
-// CompareAndSwap atomically (with respect to the single-threaded simulation
-// loop) replaces the word at addr with new if it currently equals old.
+// install allocates the page for slot, or returns the one a concurrent
+// Store installed first.
+func install(slot *atomic.Pointer[page]) *page {
+	p := new(page)
+	if slot.CompareAndSwap(nil, p) {
+		return p
+	}
+	return slot.Load()
+}
+
+// CompareAndSwap replaces the word at addr with new if it currently
+// equals old, and reports whether it did. It is atomic with respect to
+// the simulation loop, which never runs two accesses to one word at
+// once; it is not a host-level atomic. A word on a missing page holds 0,
+// so a CAS expecting anything else fails without allocating.
 func (im *Image) CompareAndSwap(addr, old, new int64) bool {
-	i := im.Norm(addr) / WordBytes
-	if im.words[i] != old {
+	slot, i := im.locate(addr)
+	p := slot.Load()
+	if p == nil {
+		if old != 0 {
+			return false
+		}
+		p = install(slot)
+	}
+	if p[i] != old {
 		return false
 	}
-	im.words[i] = new
+	p[i] = new
 	return true
 }
 
-// Snapshot copies the image contents; used by verifiers and tests.
-func (im *Image) Snapshot() []int64 {
-	out := make([]int64, len(im.words))
-	copy(out, im.words)
-	return out
+// FirstDiff reports the lowest byte address at which im and other hold
+// different words, with differ false when every word is equal. A page
+// never written on one side compares as zeros. Images of different sizes
+// first differ at the smaller size, the first address only one of them
+// has.
+func (im *Image) FirstDiff(other *Image) (addr int64, differ bool) {
+	size := min(im.Size(), other.Size())
+	words := size / WordBytes
+	var zero page
+	for pi := range (words + pageWords - 1) / pageWords {
+		a, b := im.pages[pi].Load(), other.pages[pi].Load()
+		if a == b {
+			continue
+		}
+		if a == nil {
+			a = &zero
+		}
+		if b == nil {
+			b = &zero
+		}
+		n := min(int64(pageWords), words-pi*pageWords)
+		for i := range n {
+			if a[i] != b[i] {
+				return (pi*pageWords + i) * WordBytes, true
+			}
+		}
+	}
+	if im.Size() != other.Size() {
+		return size, true
+	}
+	return 0, false
 }
 
 // Layout is a simple bump allocator over an Image's address space, used by

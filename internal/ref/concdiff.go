@@ -143,15 +143,9 @@ func bitIdentical(label string, naive, event *machine.Machine, nc, ec int64) err
 			}
 		}
 	}
-	ni, ei := naive.Image().Snapshot(), event.Image().Snapshot()
-	if len(ni) != len(ei) {
-		return fmt.Errorf("%s: image sizes diverged: %d vs %d words", label, len(ni), len(ei))
-	}
-	for w := range ni {
-		if ni[w] != ei[w] {
-			return fmt.Errorf("%s: image word %d (addr %d) diverged: naive %d, event %d",
-				label, w, 8*w, ni[w], ei[w])
-		}
+	if addr, differ := naive.Image().FirstDiff(event.Image()); differ {
+		return fmt.Errorf("%s: image word at addr %d diverged: naive %d, event %d",
+			label, addr, naive.Image().Load(addr), event.Image().Load(addr))
 	}
 	return nil
 }

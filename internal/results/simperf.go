@@ -150,12 +150,7 @@ func buildMachineCfg(bench string, opts kernels.Options, cfg machine.Config) (*k
 	if err != nil {
 		return nil, nil, err
 	}
-	for addr, val := range k.MemInit {
-		m.Image().Store(addr, val)
-	}
-	if k.InitImage != nil {
-		k.InitImage(m.Image())
-	}
+	k.LoadImage(m.Image())
 	return k, m, nil
 }
 
