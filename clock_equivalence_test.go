@@ -196,6 +196,44 @@ func TestClockEquivalenceDepth3(t *testing.T) {
 	}
 }
 
+// TestClockEquivalenceManyCore differences the scale kernels on wide
+// machines at the benchmark's sizing. scale-imb's straggler computes
+// while every other core spins at the barrier, which is where the
+// event-driven clock parks spinners and catches them up at the release;
+// scale at 65 cores runs the paged sharer sets without such a tail.
+func TestClockEquivalenceManyCore(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		cores int
+	}{
+		{"scale-imb", 64},
+		{"scale", 65},
+	} {
+		for _, mode := range []kernels.FenceMode{kernels.Traditional, kernels.Scoped} {
+			name := fmt.Sprintf("%s/%d/%v", tc.bench, tc.cores, mode)
+			t.Run(name, func(t *testing.T) {
+				opts := kernels.Options{Mode: mode, Threads: tc.cores, Ops: 2, Workload: 1}
+				cfg := machine.DefaultConfig()
+				cfg.Cores = tc.cores
+				kN, mN := buildKernelMachine(t, tc.bench, opts, cfg)
+				_, mE := buildKernelMachine(t, tc.bench, opts, cfg)
+				nc := naiveRun(t, mN)
+				ec, err := mE.Run(context.Background())
+				if err != nil {
+					t.Fatalf("event-driven run: %v", err)
+				}
+				assertMachinesEqual(t, name, mN, mE, nc, ec)
+				if err := kN.Verify(mE.Image()); err != nil {
+					t.Errorf("%s: event-driven result failed verification: %v", name, err)
+				}
+				if cs := mE.Clock(); cs.SlowTicks+cs.SkippedCycles != ec {
+					t.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles", name, cs.SlowTicks, cs.SkippedCycles, ec)
+				}
+			})
+		}
+	}
+}
+
 // TestClockSpinForwardDepth3 pins the spin detector's behavior on a
 // three-level hierarchy for the kernels whose busy-waits it targets.
 // Detached (no tracer), the event-driven run must be bit-identical to the

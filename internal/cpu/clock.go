@@ -67,6 +67,12 @@ func (c *Core) Active() bool {
 	return c.progressed || len(c.snoopPending) > 0
 }
 
+// Cycle returns the cycle of the core's most recent tick, counting the
+// cycles FastForward and SpinForward covered. Whenever Machine.Run
+// returns, every core that has not finished sits at the machine's
+// Cycle()-1; inside Run a core parked in a spin lags behind it.
+func (c *Core) Cycle() int64 { return c.cycle }
+
 // Traced reports whether a pipeline tracer is attached. Tracers observe
 // per-cycle events (notably one TraceFenceStall per stalled cycle), so the
 // machine must step a traced core cycle by cycle.

@@ -159,8 +159,9 @@ type Core struct {
 	snoopPending []int64
 
 	// OnStoreComplete, if set, is invoked when a store drains from the
-	// store buffer and its value becomes globally visible. The machine
-	// uses it to deliver snoop notifications to other cores.
+	// store buffer (or a CAS succeeds), just before its value becomes
+	// globally visible. The machine uses it to deliver snoop and spin
+	// notifications to other cores.
 	OnStoreComplete func(core int, addr int64)
 
 	tracer   Tracer
@@ -401,6 +402,11 @@ func (c *Core) completeSB() {
 				// from the drained entry had already started).
 				c.schedDirty = true
 			}
+			if c.OnStoreComplete != nil && !c.localOnly {
+				// Announce before the word changes: a core the machine
+				// has parked in a spin is caught up against the old value.
+				c.OnStoreComplete(c.id, e.addr)
+			}
 			if c.localOnly {
 				// In-epoch drain: no other core holds the line (the issue
 				// required M/E, or the hazard scan kept shared lines out),
@@ -411,9 +417,6 @@ func (c *Core) completeSB() {
 			c.decBits(c.scope.sbCnt, e.fsb)
 			c.sbInflight--
 			c.trace(TraceSBComplete, 0, isa.Instruction{Op: isa.OpStore}, e.addr)
-			if c.OnStoreComplete != nil && !c.localOnly {
-				c.OnStoreComplete(c.id, e.addr)
-			}
 			continue // drop entry
 		}
 		if e.inflight && e.readyAt < next {
@@ -532,12 +535,14 @@ func (c *Core) completeROB() {
 			if c.localOnly {
 				c.undoLog = append(c.undoLog, imgUndo{e.addr, c.img.Load(e.addr)})
 			}
+			if c.OnStoreComplete != nil && !c.localOnly && c.img.Load(e.addr) == e.casOld {
+				// A CAS about to succeed is announced before the word
+				// changes, like a drain (see completeSB).
+				c.OnStoreComplete(c.id, e.addr)
+			}
 			if c.img.CompareAndSwap(e.addr, e.casOld, e.sval) {
 				e.val = 1
 				c.spin.events++ // Image mutation perturbs any spin here
-				if c.OnStoreComplete != nil && !c.localOnly {
-					c.OnStoreComplete(c.id, e.addr)
-				}
 			} else {
 				e.val = 0
 			}

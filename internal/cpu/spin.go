@@ -145,8 +145,8 @@ func (c *Core) spinReset() {
 }
 
 // SpinActive reports whether the core is in a confirmed periodic spin with
-// its environment still frozen — the machine treats such a core as
-// quiescent and may SpinForward it in whole periods. The live checks
+// its environment still frozen — the machine parks such a core and later
+// catches it up with SpinForward in whole periods. The live checks
 // (snoops, memory version) catch perturbations delivered by cores that
 // ticked after this one in the current cycle.
 func (c *Core) SpinActive() bool {
@@ -170,6 +170,33 @@ func (c *Core) SpinJumps() uint64 { return c.spin.jumps }
 // confirmed spins.
 func (c *Core) SpinSkippedCycles() uint64 { return c.spin.skipped }
 
+// SpinReads reports whether the spin orbit reads the Image word at addr
+// (always true once the watch set has overflowed). A remote store to any
+// other word cannot change what the orbit computes: the snoop it may
+// trigger squashes only a speculative load of that same word. The answer
+// is the same at every phase of a confirmed orbit, so the machine may ask
+// it of a core whose own clock lags behind the machine's.
+func (c *Core) SpinReads(addr int64) bool {
+	s := &c.spin
+	return s.watchOverflow || slices.Contains(s.watch, c.img.Norm(addr))
+}
+
+// SpinReadsLine reports whether the spin orbit reads a word on the given
+// cache line (always true once the watch set has overflowed). Like
+// SpinReads it holds at every phase of a confirmed orbit.
+func (c *Core) SpinReadsLine(line int64) bool {
+	s := &c.spin
+	if s.watchOverflow {
+		return true
+	}
+	for _, a := range s.watch {
+		if c.hier.LineOf(a) == line {
+			return true
+		}
+	}
+	return false
+}
+
 // SpinNoteRemoteStore tells the core another core's store to addr became
 // globally visible (store-buffer drain or CAS commit). If the address is
 // one the spin orbit reads — or the watch set overflowed — the detection
@@ -178,24 +205,9 @@ func (c *Core) SpinSkippedCycles() uint64 { return c.spin.skipped }
 // (not deferred to the next tick) because the machine decides whether to
 // jump at the end of the cycle in which the remote store completed.
 func (c *Core) SpinNoteRemoteStore(addr int64) {
-	s := &c.spin
-	if s.phase == spinIdle {
-		return
+	if c.spin.phase != spinIdle && c.SpinReads(addr) {
+		c.spinReset()
 	}
-	if !s.watchOverflow {
-		hit := false
-		norm := c.img.Norm(addr)
-		for _, a := range s.watch {
-			if a == norm {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return
-		}
-	}
-	c.spinReset()
 }
 
 // SpinNoteLineDisturb tells the core a remote coherence action
@@ -209,23 +221,9 @@ func (c *Core) SpinNoteRemoteStore(addr int64) {
 // in SpinNoteRemoteStore: the machine decides whether to jump at the end
 // of the cycle in which the disturb happened.
 func (c *Core) SpinNoteLineDisturb(line int64) {
-	s := &c.spin
-	if s.phase == spinIdle {
-		return
+	if c.spin.phase != spinIdle && c.SpinReadsLine(line) {
+		c.spinReset()
 	}
-	if !s.watchOverflow {
-		hit := false
-		for _, a := range s.watch {
-			if c.hier.LineOf(a) == line {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return
-		}
-	}
-	c.spinReset()
 }
 
 // spinWatch records an Image address the in-flight orbit reads.

@@ -20,17 +20,17 @@ type figRun struct {
 // execute fills in the res fields of all runs on the session's worker
 // pool, reporting per-experiment progress as simulations complete. A
 // cancelled context stops dispatching and surfaces ctx.Err() from the
-// in-flight simulations.
+// in-flight simulations; the first failing simulation cancels the rest.
 func (s *Session) execute(ctx context.Context, experiment string, runs []*figRun) error {
 	progress := s.progress
 	var done atomic.Int64
 	if progress != nil {
 		progress(experiment, 0, len(runs))
 	}
-	jobs := make([]func() error, len(runs))
+	jobs := make([]func(context.Context) error, len(runs))
 	for i, r := range runs {
 		r := r
-		jobs[i] = func() error {
+		jobs[i] = func(ctx context.Context) error {
 			res, err := s.runOne(ctx, r.bench, r.opts, r.cfg)
 			if err != nil {
 				return err

@@ -14,8 +14,9 @@
 // Run is a two-speed event-driven loop: per-cycle stepping while any
 // core makes progress, and a fast-forward jump to the earliest per-core
 // wakeup when every core is quiescent, with skipped cycles credited so
-// results stay bit-identical to naive stepping (see DESIGN.md, "The
-// two-speed event-driven clock").
+// results stay bit-identical to naive stepping. Cores in a confirmed
+// busy-wait spin are parked off the loop and caught up when something
+// reaches them (see DESIGN.md, "The two-speed event-driven clock").
 package machine
 
 import (
@@ -101,14 +102,24 @@ type Machine struct {
 
 	reg   *stats.Registry
 	clock ClockStats
+
+	// parked[i] marks core i as parked in a confirmed spin: runSeq no
+	// longer ticks it, and its own clock (Core.Cycle) lags the machine's
+	// until unpark catches it up. ticking is the index of the core whose
+	// Tick is in progress; it places a delivery to a parked core in the
+	// cycle's fixed tick order.
+	parked  []bool
+	ticking int
 }
 
 // ClockStats reports how the two-speed clock spent a Run: SlowTicks is the
 // number of cycles stepped one by one, SkippedCycles the cycles covered by
 // fast-forward jumps, and Jumps the number of jumps. SpinJumps counts the
-// jumps that carried at least one core through a confirmed busy-wait spin
-// (see cpu's spin detector), and SpinSkippedCycles the cycles those jumps
-// covered — both are included in Jumps/SkippedCycles, not additional.
+// jumps taken while at least one core was parked in a confirmed busy-wait
+// spin (see cpu's spin detector), and SpinSkippedCycles the cycles those
+// jumps covered — both are included in Jumps/SkippedCycles, not
+// additional. The cycles each core itself spent spin-forwarded, slow
+// ticks included, are the per-core machine.clock.coreN_spin_* counters.
 // TracerPinned records that fast-forwarding was disabled because a
 // per-cycle pipeline tracer was attached — so zero jumps on a traced run
 // reads as "pinned", not "never idle". Counter-only observers (see
@@ -162,6 +173,7 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 		}
 		core.OnStoreComplete = m.broadcastStore
 		m.cores = append(m.cores, core)
+		m.parked = append(m.parked, false)
 		// Every component owns its counters and registers them here, at
 		// construction, under its place in the hierarchy: core pipeline
 		// and S-Fence hardware stats under "coreN.*", its cache-side
@@ -172,12 +184,22 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 	}
 	// Remote coherence actions (invalidations, downgrades) are reported
 	// line-by-line to the victim core's spin detector, which drops any
-	// detection whose loop reads the disturbed line. Cores beyond the
+	// detection whose loop reads the disturbed line. The report comes
+	// before the action changes the line, so a parked core that reads it
+	// is first caught up against the copy it still holds. Cores beyond the
 	// thread count have no spin state worth perturbing.
 	hier.OnDisturb = func(core int, line int64) {
-		if core < len(m.cores) {
-			m.cores[core].SpinNoteLineDisturb(line)
+		if core >= len(m.cores) {
+			return
 		}
+		c := m.cores[core]
+		if m.parked[core] {
+			if !c.SpinReadsLine(line) {
+				return
+			}
+			m.wake(core)
+		}
+		c.SpinNoteLineDisturb(line)
 	}
 	m.registerMachineStats(root.Sub("machine"))
 	return m, nil
@@ -228,8 +250,8 @@ func (m *Machine) registerMachineStats(g *stats.Group) {
 	clock.Derived("slow_ticks", "cycles stepped one by one by the two-speed clock", func() uint64 { return uint64(m.clock.SlowTicks) })
 	clock.Derived("skipped_cycles", "cycles covered by fast-forward jumps", func() uint64 { return uint64(m.clock.SkippedCycles) })
 	clock.Derived("jumps", "fast-forward jumps taken", func() uint64 { return uint64(m.clock.Jumps) })
-	clock.Derived("spin_jumps", "jumps that carried at least one core through a confirmed spin", func() uint64 { return uint64(m.clock.SpinJumps) })
-	clock.Derived("spin_skipped_cycles", "cycles covered by spin-carrying jumps", func() uint64 { return uint64(m.clock.SpinSkippedCycles) })
+	clock.Derived("spin_jumps", "jumps taken while at least one core was parked in a confirmed spin", func() uint64 { return uint64(m.clock.SpinJumps) })
+	clock.Derived("spin_skipped_cycles", "cycles covered by jumps taken while a core was parked", func() uint64 { return uint64(m.clock.SpinSkippedCycles) })
 	clock.Derived("epochs", "optimistic parallel epochs attempted", func() uint64 { return uint64(m.clock.Epochs) })
 	clock.Derived("epoch_fails", "epochs aborted and re-run sequentially", func() uint64 { return uint64(m.clock.EpochFails) })
 	clock.Derived("epoch_cycles", "machine cycles committed by successful epochs", func() uint64 { return uint64(m.clock.EpochCycles) })
@@ -271,16 +293,25 @@ func (m *Machine) StatsSnapshot() stats.Snapshot { return m.reg.Snapshot() }
 // a core that must replay. See DESIGN.md, "Snoop filtering".
 // Spin detection rides the same event: the store's cache access already
 // perturbed remote copies when it ISSUED (coherence traffic bumps the
-// victims' memory versions), but the Image word only changes now, at
-// completion — potentially hundreds of cycles later, with no coherence
-// action at all if the spinner re-fetched the line in between. A core
-// spinning on this address must therefore be dropped out of its confirmed
-// spin here, immediately, before the machine decides whether to jump past
-// the cycle in which the new value becomes readable.
+// victims' memory versions), but the Image word only changes at
+// completion, right after this call — potentially hundreds of cycles
+// later, with no coherence action at all if the spinner re-fetched the
+// line in between. A core spinning on this address must therefore be
+// dropped out of its confirmed spin here, immediately, before the machine
+// decides whether to jump past the cycle in which the new value becomes
+// readable. A parked core whose orbit reads the word is first caught up
+// against the old value; any other parked core is left alone, because
+// nothing it computes depends on the word.
 func (m *Machine) broadcastStore(from int, addr int64) {
-	for _, c := range m.cores {
-		if c.ID() == from {
+	for i, c := range m.cores {
+		if i == from {
 			continue
+		}
+		if m.parked[i] {
+			if !c.SpinReads(addr) {
+				continue
+			}
+			m.wake(i)
 		}
 		c.SpinNoteRemoteStore(addr)
 		if c.SpecLoadsInFlight() > 0 {
@@ -304,30 +335,39 @@ func (m *Machine) Cores() int { return len(m.cores) }
 // Core returns the i-th core.
 func (m *Machine) Core(i int) *cpu.Core { return m.cores[i] }
 
-// Step advances the machine one cycle.
+// Step advances the machine one cycle, ticking every core: it is the
+// naive per-cycle reference the event-driven Run is checked against.
 func (m *Machine) Step() {
-	m.stepCycle()
+	m.stepCycle(false)
 }
 
-// stepCycle ticks every core once and folds the whole-machine status scans
-// into the same pass, so Run does not re-walk the cores for Done/Fault
-// every cycle: it reports whether all cores are done, the first core
-// fault, and whether any core is still active (made forward progress this
-// cycle or holds undelivered snoop notifications). A core in a confirmed
-// stable spin does not count as active even though it progresses every
-// cycle — that is the whole point of spin detection. The per-core checks
-// here can be stale (a later core's tick may perturb an earlier core's
-// spin), but only toward active == true, i.e. an extra slow tick; the jump
-// block in Run re-evaluates SpinActive after all ticks and its NextWakeup
-// minimum yields a zero-length jump for any core perturbed late.
-func (m *Machine) stepCycle() (allDone bool, fault error, active bool) {
+// stepCycle ticks every core that is not parked and folds the
+// whole-machine status scans into the same pass, so Run does not re-walk
+// the cores for Done/Fault every cycle: it reports whether all cores are
+// done, the first core fault, and whether any core is still active (made
+// forward progress this cycle or holds undelivered snoop notifications).
+// A core in a confirmed stable spin does not count as active even though
+// it progresses every cycle — that is the whole point of spin detection;
+// with park set it is parked until an interaction reaches it (see
+// runSeq). A parked core is neither done nor faulted. The active flag can
+// be stale when a later core's tick wakes a parked or spinning earlier
+// core; the jump block in runSeq re-reads every unparked core's
+// NextWakeup, which yields a zero-length jump for such a core.
+func (m *Machine) stepCycle(park bool) (allDone bool, fault error, active bool) {
 	allDone = true
-	for _, c := range m.cores {
+	for i, c := range m.cores {
+		if m.parked[i] {
+			allDone = false
+			continue
+		}
+		m.ticking = i
 		c.Tick(m.cycle)
 		if !c.Done() {
 			allDone = false
 		}
-		if c.Active() && !c.SpinActive() {
+		if c.SpinActive() {
+			m.parked[i] = park
+		} else if c.Active() {
 			active = true
 		}
 		if fault == nil {
@@ -337,6 +377,45 @@ func (m *Machine) stepCycle() (allDone bool, fault error, active bool) {
 	m.cycle++
 	m.clock.SlowTicks++
 	return allDone, fault, active
+}
+
+// wake unparks core i for a delivery from the core now ticking. Cores
+// before the ticking one in the tick order have already ticked this
+// cycle, so they are caught up through it; cores after it tick this cycle
+// in the ordinary loop, so they are caught up through the previous one.
+func (m *Machine) wake(i int) {
+	to := m.cycle - 1
+	if i < m.ticking {
+		to = m.cycle
+	}
+	m.unpark(i, to)
+}
+
+// unpark returns parked core i to the tick loop, caught up so that its
+// last tick is cycle to: whole spin periods through SpinForward, single
+// Ticks for the remainder. Nothing the orbit reads has changed since the
+// core was parked — every change it could see is delivered, and so wakes
+// it, before it is made — so the result is bit-identical to having ticked
+// the core all along.
+func (m *Machine) unpark(i int, to int64) {
+	m.parked[i] = false
+	c := m.cores[i]
+	if k := (to - c.Cycle()) / c.SpinPeriod(); k > 0 {
+		c.SpinForward(k * c.SpinPeriod())
+	}
+	for cyc := c.Cycle() + 1; cyc <= to; cyc++ {
+		c.Tick(cyc)
+	}
+}
+
+// unparkAll catches every parked core up to the last completed cycle, so
+// that whoever reads the machine next sees all cores at one cycle.
+func (m *Machine) unparkAll() {
+	for i, p := range m.parked {
+		if p {
+			m.unpark(i, m.cycle-1)
+		}
+	}
 }
 
 // Clock returns the two-speed clock's accounting so far.
@@ -394,10 +473,14 @@ const ctxCheckInterval = 4096
 // waiting on cache misses, store-buffer drains, or redirect bubbles — the
 // clock jumps straight to the earliest per-core wakeup, crediting the
 // skipped cycles to each core's stall accounting exactly as per-cycle
-// stepping would have. The per-cycle timing model is untouched: results
+// stepping would have. A core whose tick leaves it in a confirmed spin is
+// parked: it is not ticked again until a store or coherence action that
+// its orbit can notice reaches it, or Run returns, and is then caught up
+// to that exact point. The per-cycle timing model is untouched: results
 // and statistics are bit-identical to naive stepping (asserted by
-// TestClockEquivalence). Attaching a tracer pins the slow path, because
-// tracers observe per-cycle events.
+// TestClockEquivalence), and every core is at the same cycle when Run
+// returns. Attaching a tracer pins the slow path and disables parking,
+// because tracers observe per-cycle events.
 func (m *Machine) Run(ctx context.Context) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -431,8 +514,10 @@ func (m *Machine) Run(ctx context.Context) (int64, error) {
 // nil) when until was reached first. Run calls it with until == limit
 // (the budget error fires before the until return, preserving the
 // historical behaviour); the parallel runner uses bounded legs between
-// epoch attempts.
+// epoch attempts. Every return catches the parked cores up first.
 func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) {
+	defer m.unparkAll()
+	park := !m.traced()
 	done := ctx.Done()
 	untilCheck := ctxCheckInterval
 	for {
@@ -450,7 +535,7 @@ func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) 
 		if m.cycle >= until {
 			return false, nil
 		}
-		allDone, fault, active := m.stepCycle()
+		allDone, fault, active := m.stepCycle(park)
 		if allDone {
 			return true, nil
 		}
@@ -460,32 +545,26 @@ func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) 
 		if active {
 			continue
 		}
-		if m.traced() {
+		if !park {
 			// Record explicitly that fast-forwarding is disabled, so a
 			// traced run's Clock() reads "pinned" instead of silently
 			// showing zero jumps. Counter-only observers do not pin.
 			m.clock.TracerPinned = true
 			continue
 		}
-		// Every core is idle or in a confirmed spin: fast-forward to the
-		// earliest wakeup of a non-spinning core. A core with no scheduled
-		// event reports cpu.NeverWakes; if all do (a deadlocked or
-		// all-spinning program), the clamp below jumps straight to the
-		// cycle budget, where the loop reports the same livelock error —
-		// with the same statistics — the naive clock would have spun its
-		// way to. Spinning cores advance in whole periods only (their
-		// per-period stat deltas are what gets credited), so a jump
-		// carrying spinners is rounded down to a multiple of the combined
-		// stride; the remainder is slow-ticked by later iterations.
+		// Every unparked core is idle: fast-forward them to the earliest
+		// wakeup among them. Parked cores keep their own lagging clocks and
+		// need no wakeup — something unparked must act to reach them. A
+		// core with no scheduled event reports cpu.NeverWakes; if all do (a
+		// deadlocked or all-spinning program), the clamp below jumps
+		// straight to the cycle budget, where the loop reports the same
+		// livelock error — with the same statistics, once the parked cores
+		// are caught up — the naive clock would have spun its way to.
 		wake := cpu.NeverWakes
-		nSpin := 0
-		stride := int64(1)
-		for _, c := range m.cores {
-			if c.SpinActive() {
-				nSpin++
-				if stride > 0 {
-					stride = lcmClamped(stride, c.SpinPeriod())
-				}
+		nParked := 0
+		for i, c := range m.cores {
+			if m.parked[i] {
+				nParked++
 				continue
 			}
 			if w := c.NextWakeup(); w < wake {
@@ -499,48 +578,19 @@ func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) 
 		if d <= 0 {
 			continue
 		}
-		if nSpin > 0 {
-			if stride <= 0 || d < stride {
-				continue // stride overflow or gap too small: slow-step it
-			}
-			d -= d % stride
-		}
-		for _, c := range m.cores {
-			if c.SpinActive() {
-				c.SpinForward(d)
-			} else {
+		for i, c := range m.cores {
+			if !m.parked[i] {
 				c.FastForward(d)
 			}
 		}
 		m.cycle += d
 		m.clock.SkippedCycles += d
 		m.clock.Jumps++
-		if nSpin > 0 {
+		if nParked > 0 {
 			m.clock.SpinJumps++
 			m.clock.SpinSkippedCycles += d
 		}
 	}
-}
-
-// maxSpinStride bounds the combined (least-common-multiple) period of
-// concurrently spinning cores; a pathological mix of long coprime periods
-// degrades to slow stepping instead of overflowing.
-const maxSpinStride = 1 << 20
-
-// lcmClamped returns lcm(a, b), or 0 when it would exceed maxSpinStride.
-func lcmClamped(a, b int64) int64 {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	g := a
-	for x := b; x != 0; {
-		g, x = x, g%x
-	}
-	l := a / g * b
-	if l > maxSpinStride {
-		return 0
-	}
-	return l
 }
 
 // TotalStats aggregates core statistics across the machine.

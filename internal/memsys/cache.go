@@ -282,7 +282,8 @@ type Hierarchy struct {
 	// detectors: a disturb on a line a spin loop reads — or any disturb
 	// while a per-period statistics window is being captured, since the
 	// disturb charges Invalidations/Writebacks to this core — must drop
-	// the detection. Called synchronously from inside Access.
+	// the detection. Called synchronously from inside Access, before the
+	// action changes the core's copy or charges its counters.
 	OnDisturb func(core int, line int64)
 
 	lineShift uint
@@ -586,13 +587,22 @@ func (h *Hierarchy) invalidatePrivateCopies(line int64, sharers *sharerSet, exce
 		if c == except || c >= h.cores {
 			return
 		}
-		found := false
-		if l := h.inner[c].find(line); l != nil {
-			if l.state == l1Modified {
+		inner := h.inner[c].find(line)
+		found := inner != nil
+		for j := 0; !found && j < len(h.outer) && !h.outer[j].cfg.Shared; j++ {
+			found = h.outer[j].banks[c].find(line) != nil
+		}
+		if !found {
+			return
+		}
+		// Report before mutating: the machine may first catch a parked
+		// spinner up against the copy it still holds.
+		h.disturb(c, line)
+		if inner != nil {
+			if inner.state == l1Modified {
 				h.stats[c].Writebacks++
 			}
-			l.state = l1Invalid
-			found = true
+			inner.state = l1Invalid
 		}
 		for j := range h.outer {
 			if h.outer[j].cfg.Shared {
@@ -600,13 +610,9 @@ func (h *Hierarchy) invalidatePrivateCopies(line int64, sharers *sharerSet, exce
 			}
 			if l := h.outer[j].banks[c].find(line); l != nil {
 				l.valid = false
-				found = true
 			}
 		}
-		if found {
-			h.stats[c].Invalidations++
-			h.disturb(c, line)
-		}
+		h.stats[c].Invalidations++
 	})
 }
 

@@ -51,8 +51,8 @@ type SimPerfRow struct {
 	SlowTicks     int64 `json:"slowTicks"`
 	SkippedCycles int64 `json:"skippedCycles"`
 	Jumps         int64 `json:"jumps"`
-	// Spin accounting: jumps that carried at least one core through a
-	// confirmed busy-wait orbit, and the cycles those jumps covered.
+	// Spin accounting: jumps taken while at least one core was parked in
+	// a confirmed busy-wait orbit, and the cycles those jumps covered.
 	SpinJumps         int64 `json:"spinJumps"`
 	SpinSkippedCycles int64 `json:"spinSkippedCycles"`
 

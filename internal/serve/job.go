@@ -34,10 +34,12 @@ type JobRequest struct {
 	Scale string `json:"scale,omitempty"`
 	// Workers runs each simulation on the epoch-barriered parallel
 	// machine runner with this many worker threads (results are
-	// bit-identical at any width).
+	// bit-identical at any width). Negative values are rejected and
+	// values above the server's CPU count are clamped to it.
 	Workers int `json:"workers,omitempty"`
 	// Parallelism bounds the job's simulation worker pool
-	// (0 = GOMAXPROCS).
+	// (0 = GOMAXPROCS). Negative values are rejected and values above the
+	// server's CPU count are clamped to it.
 	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutMs time-boxes the job's simulations; the server caps it at
 	// its configured maximum.

@@ -283,6 +283,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	for _, f := range []struct {
+		name string
+		n    *int
+	}{{"workers", &req.Workers}, {"parallelism", &req.Parallelism}} {
+		if *f.n < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s %d is negative", f.name, *f.n))
+			return
+		}
+		*f.n = min(*f.n, runtime.NumCPU())
+	}
 	scale := s.opts.Scale
 	switch req.Scale {
 	case "":

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -166,7 +167,8 @@ func TestServeExperimentsEndpoint(t *testing.T) {
 }
 
 // TestServeSubmitValidation exercises the 400 paths: unknown experiment
-// IDs and unknown scales are rejected at submit with a real error body.
+// IDs, unknown scales and negative workers or parallelism are rejected at
+// submit with a real error body.
 func TestServeSubmitValidation(t *testing.T) {
 	_, client := startServer(t, serve.Options{Scale: exp.Quick})
 	ctx := context.Background()
@@ -176,8 +178,56 @@ func TestServeSubmitValidation(t *testing.T) {
 	if _, err := client.Submit(ctx, serve.JobRequest{Experiment: "table4", Scale: "huge"}); err == nil || !strings.Contains(err.Error(), "unknown scale") {
 		t.Errorf("unknown scale: got %v, want unknown-scale error", err)
 	}
+	for field, req := range map[string]serve.JobRequest{
+		"workers":     {Experiment: "table4", Workers: -1},
+		"parallelism": {Experiment: "table4", Parallelism: -3},
+	} {
+		if _, err := client.Submit(ctx, req); err == nil || !strings.Contains(err.Error(), field+" ") || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Errorf("negative %s: got %v, want an HTTP 400 naming the field", field, err)
+		}
+	}
 	if _, err := client.Status(ctx, "j999"); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Errorf("unknown job: got %v, want unknown-job error", err)
+	}
+}
+
+// TestServeSubmitClampsWidths submits a job asking for more simulation
+// workers and pool width than the host has CPUs: the job must run with
+// both clamped to runtime.NumCPU().
+func TestServeSubmitClampsWidths(t *testing.T) {
+	ncpu := runtime.NumCPU()
+	var mu sync.Mutex
+	inflight, maxInflight, maxWorkers := 0, 0, 0
+	wrap := func(next exp.Runner) exp.Runner {
+		return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
+			mu.Lock()
+			inflight++
+			maxInflight = max(maxInflight, inflight)
+			maxWorkers = max(maxWorkers, cfg.Parallel.Workers)
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				inflight--
+				mu.Unlock()
+			}()
+			return next(ctx, bench, opts, cfg)
+		}
+	}
+	_, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap})
+	st, err := client.Submit(context.Background(), serve.JobRequest{
+		Experiment: simExperiment, Workers: ncpu + 7, Parallelism: ncpu + 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, client, st.ID, serve.StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if maxWorkers > ncpu {
+		t.Errorf("simulations ran with %d workers, want at most NumCPU = %d", maxWorkers, ncpu)
+	}
+	if maxInflight > ncpu {
+		t.Errorf("%d simulations ran at once, want at most NumCPU = %d", maxInflight, ncpu)
 	}
 }
 
