@@ -23,7 +23,6 @@ import (
 	"sfence/internal/machine"
 	"sfence/internal/memsys"
 	"sfence/internal/stats"
-	"sfence/internal/trace"
 )
 
 // naiveRun drives m exactly like the pre-event-driven Run loop: one Step
@@ -396,62 +395,6 @@ func TestClockTracingPinsSlowPath(t *testing.T) {
 	}
 	if got := m.StatsSnapshot().Value("machine.clock.tracer_pinned"); got != 1 {
 		t.Fatalf("machine.clock.tracer_pinned = %d, want 1", got)
-	}
-}
-
-// TestClockObserverStaysOnFastPath is the counter-only-observer contract:
-// a stats.Observer attached to every core must (1) not stop the clock
-// from fast-forwarding, (2) not perturb a single simulated stat relative
-// to an unobserved run, and (3) tally exactly the events per-cycle
-// stepping would have delivered — the fast-forward bulk credits included.
-func TestClockObserverStaysOnFastPath(t *testing.T) {
-	opts := kernels.Options{Mode: kernels.Traditional, Ops: 60, Workload: 2}
-	cfg := machine.DefaultConfig()
-
-	// Unobserved event-driven run: the reference.
-	_, mRef := buildKernelMachine(t, "fence-drain", opts, cfg)
-	refCycles, err := mRef.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Observed event-driven run.
-	_, mObs := buildKernelMachine(t, "fence-drain", opts, cfg)
-	obsE := trace.NewCountingObserver()
-	trace.AttachObserver(mObs, obsE)
-	obsCycles, err := mObs.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Observed naive run: the per-cycle ground truth for the tallies.
-	_, mNaive := buildKernelMachine(t, "fence-drain", opts, cfg)
-	obsN := trace.NewCountingObserver()
-	trace.AttachObserver(mNaive, obsN)
-	naiveRun(t, mNaive)
-
-	if refCycles != obsCycles {
-		t.Fatalf("observer changed the cycle count: %d vs %d", refCycles, obsCycles)
-	}
-	if cs := mObs.Clock(); cs.SkippedCycles == 0 || cs.Jumps == 0 {
-		t.Fatalf("observed run did not fast-forward: %+v", cs)
-	}
-	if cs := mObs.Clock(); cs.TracerPinned {
-		t.Fatalf("observer reported as a pinning tracer: %+v", cs)
-	}
-	// Observed vs. unobserved snapshots identical — full registry,
-	// including the clock subtree (both runs are event-driven).
-	if sr, so := mRef.StatsSnapshot(), mObs.StatsSnapshot(); !sr.Equal(so) {
-		t.Fatalf("observer perturbed the stats snapshot:\nref %+v\nobs %+v", sr, so)
-	}
-	// Event tallies identical across clocks: every per-cycle stall event
-	// the naive run delivered one by one must arrive via bulk credits.
-	ne, ee := obsN.Counts(), obsE.Counts()
-	if !reflect.DeepEqual(ne, ee) {
-		t.Fatalf("observer tallies diverged across clocks:\nnaive %v\nevent %v", ne, ee)
-	}
-	if ne[cpu.TraceFenceStall] == 0 {
-		t.Fatal("fence-drain produced no fence-stall events; the bulk-credit path went untested")
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"sfence"
@@ -202,33 +202,38 @@ func main() {
 		labOpts = append(labOpts, sfence.WithCache(cache))
 	}
 	if *progress {
-		// Progress lines carry live simulator throughput and the running
-		// fence-stall share, tallied by a counter-only observer attached
-		// to every simulated machine. Observers ride the two-speed clock's
-		// fast path (skipped stall cycles arrive as bulk credits), so the
-		// instrumentation cannot change any measurement. With a run cache
-		// the simulations may not execute at all, so the instrumented
-		// runner is only installed for direct runs and cached sessions
-		// keep the plain done/total line.
+		// Progress lines carry simulator throughput and the fence-stall
+		// share of core time, both summed over the finished simulations'
+		// results. With a run cache the simulations may not execute at
+		// all, so the summing runner is only installed for direct runs
+		// and cached sessions keep the plain done/total line.
 		if *cacheDir == "" {
-			obs := sfence.NewCountingObserver()
-			var simCycles, coreCycles atomic.Int64
+			var (
+				mu                     sync.Mutex
+				simCycles              int64
+				coreCycles, fenceStall uint64
+			)
 			start := time.Now()
 			labOpts = append(labOpts,
 				sfence.WithRunner(func(ctx context.Context, bench string, opts sfence.BenchmarkOptions, cfg sfence.Config) (sfence.BenchmarkResult, error) {
-					res, err := sfence.RunBenchmarkObserved(ctx, bench, opts, cfg, obs)
+					res, err := sfence.RunBenchmarkContext(ctx, bench, opts, cfg)
 					if err == nil {
-						simCycles.Add(res.Cycles)
-						coreCycles.Add(int64(res.CoreCycles))
+						mu.Lock()
+						simCycles += res.Cycles
+						coreCycles += res.CoreCycles
+						fenceStall += res.FenceStall
+						mu.Unlock()
 					}
 					return res, err
 				}),
 				sfence.WithProgress(func(experiment string, done, total int) {
-					rate := float64(simCycles.Load()) / time.Since(start).Seconds()
+					mu.Lock()
+					rate := float64(simCycles) / time.Since(start).Seconds()
 					var share float64
-					if cc := coreCycles.Load(); cc > 0 {
-						share = float64(obs.Count(sfence.TraceFenceStall)) / float64(cc)
+					if coreCycles > 0 {
+						share = float64(fenceStall) / float64(coreCycles)
 					}
+					mu.Unlock()
 					fmt.Fprintf(os.Stderr, "\r%-24s %3d/%3d  %11.0f simcyc/s  fence-stall %5.1f%%",
 						experiment, done, total, rate, share*100)
 					if done == total {

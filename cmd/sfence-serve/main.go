@@ -1,7 +1,7 @@
 // Command sfence-serve exposes the S-Fence reproduction as a long-running
 // simulation service: an HTTP/JSON API over the experiment registry.
 // Clients POST jobs into a bounded worker pool, stream NDJSON progress
-// events with live simulated-cycles/s and fence-stall share, and fetch
+// events with simulated-cycles/s and fence-stall share, and fetch
 // the finished schema-versioned BENCH envelope — byte-identical to what a
 // direct sfence-report run writes, because the simulator is deterministic
 // and the serving layer adds no entropy to results.
@@ -88,7 +88,14 @@ func main() {
 		MaxJobTimeout: *jobTimeout,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Event streams stay open for a whole job, so there is no write
+	// timeout; slow or idle clients are bounded on the read side.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)

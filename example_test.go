@@ -141,28 +141,3 @@ func ExampleLab_stats() {
 	// fast-forward engaged: true
 	// tracer pinned: 0
 }
-
-// ExampleNewCountingObserver attaches a counter-only observer to a
-// benchmark run. Unlike a Tracer, an observer never pins the two-speed
-// clock's per-cycle slow path: the machine keeps fast-forwarding and
-// credits skipped stall-cycle events in bulk, so observability costs
-// almost nothing — and cannot change a single measurement.
-func ExampleNewCountingObserver() {
-	opts := sfence.BenchmarkOptions{Mode: sfence.Traditional, Ops: 20}
-	obs := sfence.NewCountingObserver()
-	observed, err := sfence.RunBenchmarkObserved(context.Background(), "fence-drain", opts, sfence.DefaultConfig(), obs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	unobserved, err := sfence.RunBenchmarkContext(context.Background(), "fence-drain", opts, sfence.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("observer saw fence stalls: %t\n", obs.Count(sfence.TraceFenceStall) > 0)
-	fmt.Printf("still fast-forwarding: %t\n", observed.Snapshot.Value("machine.clock.skipped_cycles") > 0)
-	fmt.Printf("identical to unobserved run: %t\n", observed.Snapshot.Equal(unobserved.Snapshot))
-	// Output:
-	// observer saw fence stalls: true
-	// still fast-forwarding: true
-	// identical to unobserved run: true
-}

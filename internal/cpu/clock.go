@@ -36,14 +36,6 @@ type stallAccrual struct {
 	robFull     bool // stats.ROBFullCycles
 	sbFull      bool // stats.SBFullCycles
 
-	// fenceTraces counts the TraceFenceStall events this Tick emitted
-	// (0-2: a retirement-blocked and an issue-blocked fence can each fire
-	// once per cycle). It is what makes counter-only observers
-	// fast-forward-compatible: a quiescent cycle repeats exactly these
-	// events, so FastForward credits an attached stats.Observer with
-	// fenceTraces*delta occurrences in one call.
-	fenceTraces uint8
-
 	nSites   int
 	sites    [2]*FenceSite
 	siteIdle [2]bool
@@ -150,20 +142,6 @@ func (c *Core) FastForward(delta int64) {
 		a.sites[i].StallCycles += d
 		if a.siteIdle[i] {
 			a.sites[i].IdleCycles += d
-		}
-	}
-	// Counter-only observers receive the skipped cycles' events in bulk:
-	// a quiescent cycle emits exactly the TraceFenceStall events the last
-	// Tick did, so delta skipped cycles emit fenceTraces*delta of them.
-	// This is why an Observer — unlike a Tracer — never pins the slow
-	// path.
-	if c.observer != nil && a.fenceTraces > 0 {
-		c.observer.Observe(c.id, uint8(TraceFenceStall), uint64(a.fenceTraces)*d)
-		if c.spin.phase == spinArmed {
-			// An armed spin window can contain fast-forwarded quiescent
-			// spans; their bulk-credited events belong to the window tally
-			// exactly like per-tick ones.
-			c.spin.evAt[TraceFenceStall] += uint64(a.fenceTraces) * d
 		}
 	}
 	c.cycle += delta

@@ -164,9 +164,8 @@ type Core struct {
 	// notifications to other cores.
 	OnStoreComplete func(core int, addr int64)
 
-	tracer   Tracer
-	observer stats.Observer
-	profile  fenceProfile
+	tracer  Tracer
+	profile fenceProfile
 
 	stats Stats
 	fault error
@@ -617,7 +616,6 @@ func (c *Core) retireInsts() {
 					site.IdleCycles++
 				}
 				c.accrual.addSite(site, idle)
-				c.accrual.fenceTraces++
 				c.trace(TraceFenceStall, c.head, e.inst, 1)
 				return
 			}
@@ -754,7 +752,7 @@ func (c *Core) tryEntry(seq uint64) bool {
 	default:
 		c.tryStartALU(e, seq)
 	}
-	if (c.tracer != nil || c.observer != nil) && seq < c.tail && e.stage == stExecuting {
+	if c.tracer != nil && seq < c.tail && e.stage == stExecuting {
 		c.trace(TraceExecute, seq, e.inst, e.readyAt)
 	}
 	if !wasAddrOK && e.addrOK {
@@ -1227,7 +1225,6 @@ func (c *Core) fetch() {
 				site.IdleCycles++
 			}
 			c.accrual.addSite(site, idle)
-			c.accrual.fenceTraces++
 			c.trace(TraceFenceStall, c.tail, in, 0)
 			return
 		}

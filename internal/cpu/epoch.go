@@ -308,12 +308,6 @@ func (c *Core) EpochAbort(s *EpochState) {
 // abort the epoch for every core.
 func (c *Core) EpochBlocked() bool { return c.epochBlocked }
 
-// Observed reports whether a counter-only stats observer is attached.
-// Observers are exact under fast-forward but the parallel runner
-// declines epochs on observed machines (observer callbacks are not
-// required to be goroutine-safe).
-func (c *Core) Observed() bool { return c.observer != nil }
-
 // ForEachPendingGlobalWrite visits every write that already paid its
 // hierarchy access and will therefore complete unconditionally — issued
 // (in-flight) store-buffer entries and executing CAS entries — with the

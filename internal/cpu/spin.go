@@ -13,8 +13,8 @@ import (
 // core's architectural orbit has become exactly periodic with a frozen
 // memory system, captures the per-period statistics delta once, and lets
 // the machine jump whole spans of spin iterations in O(1) while crediting
-// every counter — core stats, memory-system stats, fence-site profile,
-// observer events — exactly as the skipped live iterations would have.
+// every counter — core stats, memory-system stats, fence-site profile —
+// exactly as the skipped live iterations would have.
 //
 // Correctness rests on three facts, each enforced elsewhere:
 //
@@ -116,7 +116,6 @@ type spinState struct {
 	statsAt Stats
 	memAt   memsys.CoreStats
 	profAt  map[int]FenceSite
-	evAt    [8]uint64 // observer events emitted while armed
 
 	// watch is the set of Image addresses the orbit reads from memory; a
 	// remote store to one of them perturbs the spin even when it causes
@@ -126,18 +125,17 @@ type spinState struct {
 	watchOverflow bool
 
 	// Confirmed-period results.
-	period  int64
-	dStats  Stats
-	dMem    memsys.CoreStats
-	dSites  []spinSiteDelta
-	dEvents [8]uint64
+	period int64
+	dStats Stats
+	dMem   memsys.CoreStats
+	dSites []spinSiteDelta
 
 	jumps   uint64
 	skipped uint64
 }
 
-// spinReset abandons any detection in progress (tracer/observer attach,
-// remote perturbation).
+// spinReset abandons any detection in progress (tracer attach, remote
+// perturbation).
 func (c *Core) spinReset() {
 	c.spin.phase = spinIdle
 	c.spin.stable = 0
@@ -419,7 +417,6 @@ func (s *spinState) spinArm(c *Core) {
 	for pc, site := range c.profile.sites {
 		s.profAt[pc] = *site
 	}
-	s.evAt = [8]uint64{}
 	s.watch = s.watch[:0]
 	s.watchOverflow = false
 }
@@ -452,7 +449,6 @@ func (s *spinState) spinConfirm(c *Core) {
 			s.dSites = append(s.dSites, d)
 		}
 	}
-	s.dEvents = s.evAt
 	s.phase = spinConfirmed
 	s.cooldown = 0
 	s.rearms = 0
@@ -461,9 +457,9 @@ func (s *spinState) spinConfirm(c *Core) {
 // SpinForward advances a confirmed spinning core by delta cycles (delta
 // must be a whole number of periods): every absolute timestamp in flight
 // shifts by delta, and k = delta/period copies of the captured per-period
-// delta land on the statistics, the memory-system counters, the fence
-// profile, and the attached observer. The result is bit-identical to
-// ticking the core delta more times against a frozen environment.
+// delta land on the statistics, the memory-system counters and the fence
+// profile. The result is bit-identical to ticking the core delta more
+// times against a frozen environment.
 func (c *Core) SpinForward(delta int64) {
 	s := &c.spin
 	if delta <= 0 {
@@ -501,13 +497,6 @@ func (c *Core) SpinForward(delta int64) {
 		d.site.Executions += d.exec * k
 		d.site.StallCycles += d.stall * k
 		d.site.IdleCycles += d.idle * k
-	}
-	if c.observer != nil {
-		for ev, n := range s.dEvents {
-			if n > 0 {
-				c.observer.Observe(c.id, uint8(ev), n*k)
-			}
-		}
 	}
 	s.jumps++
 	s.skipped += uint64(delta)

@@ -1,9 +1,6 @@
 package cpu
 
-import (
-	"sfence/internal/isa"
-	"sfence/internal/stats"
-)
+import "sfence/internal/isa"
 
 // TraceEvent identifies a pipeline event reported to a Tracer.
 type TraceEvent uint8
@@ -56,27 +53,10 @@ func (c *Core) SetTracer(t Tracer) {
 	c.spinReset()
 }
 
-// SetObserver attaches (or detaches, with nil) a counter-only observer.
-// The observer receives the same pipeline events a Tracer does, but only
-// as (event, count) increments — no cycle, sequence, or instruction
-// detail — which is exactly what keeps it compatible with the two-speed
-// clock: the machine keeps fast-forwarding with an observer attached, and
-// FastForward credits skipped stall-cycle events in bulk (see clock.go).
-// Attaching an observer never changes simulation results.
-func (c *Core) SetObserver(o stats.Observer) {
-	c.observer = o
-	c.spinReset() // event bookkeeping baseline changed; re-detect
-}
-
+// trace reports a pipeline event to the attached tracer. It is small
+// enough to inline, so an untraced core pays one nil check per event site
+// and never copies the instruction.
 func (c *Core) trace(ev TraceEvent, seq uint64, in isa.Instruction, detail int64) {
-	if c.observer != nil {
-		c.observer.Observe(c.id, uint8(ev), 1)
-		if c.spin.phase == spinArmed {
-			// Tally the armed window's events so a confirmed spin can
-			// credit the observer per skipped period.
-			c.spin.evAt[ev]++
-		}
-	}
 	if c.tracer != nil {
 		c.tracer.Trace(c.cycle, c.id, ev, seq, in, detail)
 	}

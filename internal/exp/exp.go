@@ -18,7 +18,6 @@ import (
 	"sfence/internal/cpu"
 	"sfence/internal/kernels"
 	"sfence/internal/machine"
-	"sfence/internal/stats"
 )
 
 // Scale selects experiment sizing.
@@ -117,27 +116,6 @@ func DirectRun(ctx context.Context, bench string, opts kernels.Options, cfg mach
 		return kernels.Result{}, err
 	}
 	return kernels.Run(ctx, k, cfg)
-}
-
-// ObservedRunner returns a Runner that simulates directly with the
-// counter-only observer attached to every core. Observers ride the
-// two-speed clock's fast path (skipped stall cycles arrive as bulk
-// credits), so the instrumentation cannot change any measurement —
-// results stay bit-identical to DirectRun. This is the runner a serving
-// layer installs (usually behind a memoizing cache via RunCache.Runner)
-// to stream live simulated-cycles and fence-stall tallies off runs that
-// actually execute. A nil observer is exactly DirectRun.
-func ObservedRunner(obs stats.Observer) Runner {
-	if obs == nil {
-		return DirectRun
-	}
-	return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
-		k, err := kernels.Build(bench, opts)
-		if err != nil {
-			return kernels.Result{}, err
-		}
-		return kernels.RunObserved(ctx, k, cfg, obs)
-	}
 }
 
 // runOne runs a benchmark under the given mode/config, after normalizing

@@ -260,24 +260,10 @@ func Run(ctx context.Context, k *Kernel, cfg machine.Config) (Result, error) {
 }
 
 // RunTraced is Run with an optional pipeline tracer attached to every
-// core. A tracer pins the machine's per-cycle slow path; see RunObserved
-// for fast-forward-compatible counter-only observation.
+// core (nil disables tracing). A tracer pins the machine's per-cycle slow
+// path; results are identical either way. It verifies the result and
+// summarizes the machine's stats-registry snapshot into a Result.
 func RunTraced(ctx context.Context, k *Kernel, cfg machine.Config, tracer cpu.Tracer) (Result, error) {
-	return RunInstrumented(ctx, k, cfg, tracer, nil)
-}
-
-// RunObserved is Run with a counter-only observer attached to every core.
-// Unlike a tracer, an observer keeps the two-speed clock fast-forwarding
-// and cannot change any measurement.
-func RunObserved(ctx context.Context, k *Kernel, cfg machine.Config, obs stats.Observer) (Result, error) {
-	return RunInstrumented(ctx, k, cfg, nil, obs)
-}
-
-// RunInstrumented executes the kernel with an optional pipeline tracer
-// and/or counter-only observer attached to every core (either may be
-// nil), verifies the result, and summarizes the machine's stats-registry
-// snapshot into a Result.
-func RunInstrumented(ctx context.Context, k *Kernel, cfg machine.Config, tracer cpu.Tracer, obs stats.Observer) (Result, error) {
 	if len(k.Threads) > cfg.Cores {
 		return Result{}, fmt.Errorf("kernels: %s needs %d cores, machine has %d", k.Name, len(k.Threads), cfg.Cores)
 	}
@@ -285,12 +271,9 @@ func RunInstrumented(ctx context.Context, k *Kernel, cfg machine.Config, tracer 
 	if err != nil {
 		return Result{}, err
 	}
-	for i := 0; i < m.Cores(); i++ {
-		if tracer != nil {
+	if tracer != nil {
+		for i := 0; i < m.Cores(); i++ {
 			m.Core(i).SetTracer(tracer)
-		}
-		if obs != nil {
-			m.Core(i).SetObserver(obs)
 		}
 	}
 	k.LoadImage(m.Image())

@@ -122,8 +122,7 @@ type Machine struct {
 // ticks included, are the per-core machine.clock.coreN_spin_* counters.
 // TracerPinned records that fast-forwarding was disabled because a
 // per-cycle pipeline tracer was attached — so zero jumps on a traced run
-// reads as "pinned", not "never idle". Counter-only observers (see
-// cpu.Core.SetObserver) do not pin the clock and never set the flag.
+// reads as "pinned", not "never idle".
 //
 // The parallel runner adds its own accounting: Epochs counts attempted
 // optimistic epochs, EpochFails the ones that aborted and were re-run
@@ -548,7 +547,7 @@ func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) 
 		if !park {
 			// Record explicitly that fast-forwarding is disabled, so a
 			// traced run's Clock() reads "pinned" instead of silently
-			// showing zero jumps. Counter-only observers do not pin.
+			// showing zero jumps.
 			m.clock.TracerPinned = true
 			continue
 		}

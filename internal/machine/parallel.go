@@ -40,8 +40,8 @@ import (
 //   - Loads that speculatively executed past a fence may need a replay
 //     triggered by a remote store at a precise cycle; any in flight
 //     veto the attempt entirely (they are transient).
-//   - Tracers and observers receive interleaved per-event callbacks;
-//     machines carrying either run sequentially, as before.
+//   - Tracers receive interleaved per-event callbacks; traced machines
+//     run sequentially, as before.
 //
 // Determinism: an epoch either commits bit-identically to sequential
 // stepping or vanishes without trace, so the worker count — and the
@@ -97,7 +97,7 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 	if workers > len(m.cores) {
 		workers = len(m.cores)
 	}
-	if workers < 2 || m.traced() || m.observed() {
+	if workers < 2 || m.traced() {
 		_, err := m.runSeq(ctx, limit, limit)
 		return m.cycle, err
 	}
@@ -276,18 +276,6 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 		}
 		knownBlock = -1
 	}
-}
-
-// observed reports whether any core has a counter-only observer
-// attached (observer callbacks are not required to be goroutine-safe,
-// so observed machines stay sequential).
-func (m *Machine) observed() bool {
-	for _, c := range m.cores {
-		if c.Observed() {
-			return true
-		}
-	}
-	return false
 }
 
 // epochSafe reports the transient epoch precondition: no load anywhere

@@ -255,8 +255,8 @@ func (c *RunCache) Run(ctx context.Context, bench string, opts kernels.Options, 
 // Runner returns an exp.Runner that memoizes sim through this cache: on a
 // miss the triple is simulated by sim instead of exp.DirectRun, with the
 // same coalescing, persistence, and eviction behavior as Run. This is how
-// a caller attaches instrumentation (e.g. a counter-only observer) to the
-// simulations a shared cache actually executes — coalesced waiters and
+// a caller attaches instrumentation (e.g. summing each finished result) to
+// the simulations a shared cache actually executes — coalesced waiters and
 // cache hits never invoke sim. A nil sim is exactly Run.
 func (c *RunCache) Runner(sim exp.Runner) exp.Runner {
 	return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {

@@ -312,12 +312,8 @@ func renderSimPerf(rep SimPerfReport) string {
 			par = append(par, r)
 			continue
 		}
-		mode := r.Mode
-		if r.Observer {
-			mode += "+obs"
-		}
 		sb.WriteString(fmt.Sprintf("%-14s%-12s%12d%14.0f%14.0f%8.2fx\n",
-			r.Bench, mode, r.SimCycles, r.NaiveCyclesPerSec, r.EventCyclesPerSec, r.Speedup))
+			r.Bench, r.Mode, r.SimCycles, r.NaiveCyclesPerSec, r.EventCyclesPerSec, r.Speedup))
 	}
 	if len(par) > 0 {
 		sb.WriteString("\nParallel runner — sequential vs epoch-barriered wall clock (bit-identical results)\n")

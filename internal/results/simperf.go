@@ -3,14 +3,12 @@ package results
 import (
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
 	"time"
 
 	"sfence/internal/exp"
 	"sfence/internal/kernels"
 	"sfence/internal/machine"
-	"sfence/internal/trace"
 )
 
 // KindSimPerf is the envelope kind of the simulator-performance artifact
@@ -26,17 +24,12 @@ const simPerfTitle = "Simulator performance — naive per-cycle stepping vs. eve
 // Run loop) and under the two-speed event-driven Run, with identical
 // results asserted before the timings are recorded.
 type SimPerfRow struct {
-	Bench    string `json:"bench"`
-	Mode     string `json:"mode"`
-	Threads  int    `json:"threads"`
-	Ops      int    `json:"ops"`
-	Workload int    `json:"workload,omitempty"`
-	// Observer marks the counting-observer row: a counter-only
-	// stats.Observer is attached to both machines, which must not pin the
-	// event-driven clock (SkippedCycles stays nonzero) nor perturb any
-	// result, and both clocks must deliver identical event tallies.
-	Observer  bool  `json:"observer,omitempty"`
-	SimCycles int64 `json:"simCycles"`
+	Bench     string `json:"bench"`
+	Mode      string `json:"mode"`
+	Threads   int    `json:"threads"`
+	Ops       int    `json:"ops"`
+	Workload  int    `json:"workload,omitempty"`
+	SimCycles int64  `json:"simCycles"`
 
 	NaiveNs int64 `json:"naiveNs"`
 	EventNs int64 `json:"eventNs"`
@@ -77,12 +70,10 @@ type SimPerfReport struct {
 	Rows      []SimPerfRow `json:"rows"`
 }
 
-// simPerfCase is one tracked workload; observer attaches a counter-only
-// counting observer to both machines.
+// simPerfCase is one tracked workload.
 type simPerfCase struct {
-	bench    string
-	opts     kernels.Options
-	observer bool
+	bench string
+	opts  kernels.Options
 }
 
 // simPerfKernelOps sizes the per-kernel rows: enough iterations that the
@@ -104,10 +95,7 @@ var simPerfKernels = []string{
 // event-driven clock's home turf), followed by every Table IV kernel
 // under both fence modes, which is where the spin detector earns its
 // keep: contended kernels busy-wait with the pipeline fully active, so
-// only spin-aware jumps can compress them. The observer row repeats the
-// first workload with a counting observer attached, pinning down that
-// counter-only observability stays on the fast path (nonzero skipped
-// cycles) with identical results.
+// only spin-aware jumps can compress them.
 func simPerfCases(sc exp.Scale) []simPerfCase {
 	ops := 400
 	wl := 8
@@ -129,8 +117,7 @@ func simPerfCases(sc exp.Scale) []simPerfCase {
 			})
 		}
 	}
-	return append(cases,
-		simPerfCase{bench: "fence-drain", opts: kernels.Options{Mode: kernels.Traditional, Ops: ops}, observer: true})
+	return cases
 }
 
 // buildMachine assembles a ready-to-run machine for one case on the
@@ -190,12 +177,6 @@ func RunSimPerf(ctx context.Context, sc exp.Scale) (SimPerfReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("results: simperf %s: %w", tc.bench, err)
 		}
-		var obsN, obsE *trace.CountingObserver
-		if tc.observer {
-			obsN, obsE = trace.NewCountingObserver(), trace.NewCountingObserver()
-			trace.AttachObserver(mN, obsN)
-			trace.AttachObserver(mE, obsE)
-		}
 
 		t0 := time.Now()
 		naiveCycles, err := runNaive(ctx, mN)
@@ -217,14 +198,6 @@ func RunSimPerf(ctx context.Context, sc exp.Scale) (SimPerfReport, error) {
 		if sn != se {
 			return rep, fmt.Errorf("results: simperf %s: clock divergence in core stats:\nnaive %+v\nevent %+v", tc.bench, sn, se)
 		}
-		if tc.observer {
-			if !maps.Equal(obsN.Counts(), obsE.Counts()) {
-				return rep, fmt.Errorf("results: simperf %s: observer tallies diverged across clocks:\nnaive %v\nevent %v", tc.bench, obsN.Counts(), obsE.Counts())
-			}
-			if cs := mE.Clock(); cs.SkippedCycles == 0 {
-				return rep, fmt.Errorf("results: simperf %s: counting observer pinned the slow path: %+v", tc.bench, cs)
-			}
-		}
 		if kN.Verify != nil {
 			if err := kN.Verify(mE.Image()); err != nil {
 				return rep, fmt.Errorf("results: simperf %s: %w", tc.bench, err)
@@ -238,7 +211,6 @@ func RunSimPerf(ctx context.Context, sc exp.Scale) (SimPerfReport, error) {
 			Threads:   len(kN.Threads),
 			Ops:       tc.opts.Ops,
 			Workload:  tc.opts.Workload,
-			Observer:  tc.observer,
 			SimCycles: eventCycles,
 			NaiveNs:   naiveNs,
 			EventNs:   eventNs,

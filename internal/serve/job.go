@@ -3,16 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"sfence/internal/cpu"
 	"sfence/internal/exp"
 	"sfence/internal/kernels"
 	"sfence/internal/machine"
 	"sfence/internal/results"
-	"sfence/internal/trace"
 )
 
 // Job states, as reported by JobStatus.State and "state" events. A job is
@@ -62,8 +60,8 @@ type JobStatus struct {
 
 // Event is one NDJSON line of a job's event stream: state transitions
 // ("queued", "running", terminal states) and per-experiment progress
-// carrying live simulator throughput read off the fast path by a
-// counter-only observer. Progress rates are wall-clock and therefore
+// carrying simulator throughput summed over the job's finished
+// simulations. Progress rates are wall-clock and therefore
 // nondeterministic; the result envelope bytes never are.
 type Event struct {
 	Type       string `json:"type"` // "state" or "progress"
@@ -73,12 +71,15 @@ type Event struct {
 	Experiment string `json:"experiment,omitempty"`
 	Done       int    `json:"done"`
 	Total      int    `json:"total,omitempty"`
-	// SimCycles is the total simulated cycles executed so far (cache
-	// hits contribute nothing — they simulate nothing).
+	// SimCycles is the total simulated cycles of the job's finished
+	// simulations (cache hits contribute nothing — they simulate
+	// nothing).
 	SimCycles       int64   `json:"simCycles,omitempty"`
 	SimCyclesPerSec float64 `json:"simCyclesPerSec,omitempty"`
-	// FenceStallShare is the running fence-stall fraction of core time
-	// across the job's executed simulations.
+	// FenceStallShare is ΣFenceStall / ΣCoreCycles over the same
+	// finished simulations: the fence-idle share of core time that the
+	// figures plot (kernels.Result.FenceStallFraction, pooled across
+	// runs), always in [0, 1].
 	FenceStallShare float64 `json:"fenceStallShare,omitempty"`
 	ElapsedMs       int64   `json:"elapsedMs,omitempty"`
 }
@@ -200,21 +201,28 @@ func (s *Server) runJob(j *job) {
 
 	s.running.Add(1)
 	defer s.running.Add(-1)
+	defer func() {
+		// A panic in the experiment itself (outside any runner) fails
+		// this job; the worker goes on to the next one.
+		if p := recover(); p != nil {
+			s.failed.Add(1)
+			j.setState(StateFailed, fmt.Sprintf("panic: %v", p))
+		}
+	}()
 	j.setState(StateRunning, "")
 
-	// Live observability: a counter-only observer tallies pipeline
-	// events off the fast path, and a wrapping runner sums the simulated
-	// cycles of every simulation this job actually executes. With a
-	// shared cache, hits and coalesced waits contribute nothing — the
-	// stream reports real simulation work, not cache traffic.
-	obs := trace.NewCountingObserver()
-	var simCycles, coreCycles atomic.Int64
-	base := exp.ObservedRunner(obs)
-	runner := exp.Runner(func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
-		res, err := base(ctx, bench, opts, cfg)
+	// Live observability is read off finished results: the innermost
+	// runner sums the cycle counts of every simulation this job actually
+	// executes. With a shared cache, hits and coalesced waits contribute
+	// nothing — the stream reports real simulation work, not cache
+	// traffic. Panics are recovered on both sides of the cache, so an
+	// in-flight cache entry always completes and a panic anywhere in the
+	// runner fails the job rather than the process.
+	var sums simSums
+	runner := recoverRunner(func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
+		res, err := exp.DirectRun(ctx, bench, opts, cfg)
 		if err == nil {
-			simCycles.Add(res.Cycles)
-			coreCycles.Add(int64(res.CoreCycles))
+			sums.add(res)
 		}
 		return res, err
 	})
@@ -224,6 +232,7 @@ func (s *Server) runJob(j *job) {
 	if s.opts.WrapRunner != nil {
 		runner = s.opts.WrapRunner(runner)
 	}
+	runner = recoverRunner(runner)
 
 	start := time.Now()
 	progress := func(experiment string, done, total int) {
@@ -231,14 +240,11 @@ func (s *Server) runJob(j *job) {
 		ev := Event{
 			Type: "progress", Job: j.id, Experiment: experiment,
 			Done: done, Total: total,
-			SimCycles: simCycles.Load(),
 			ElapsedMs: elapsed.Milliseconds(),
 		}
+		ev.SimCycles, ev.FenceStallShare = sums.read()
 		if secs := elapsed.Seconds(); secs > 0 {
 			ev.SimCyclesPerSec = float64(ev.SimCycles) / secs
-		}
-		if cc := coreCycles.Load(); cc > 0 {
-			ev.FenceStallShare = float64(obs.Count(cpu.TraceFenceStall)) / float64(cc)
 		}
 		j.emit(ev)
 	}
@@ -270,4 +276,47 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	s.completed.Add(1)
 	j.setState(StateDone, "")
+}
+
+// simSums accumulates the cycle counts of a job's finished simulations.
+// One lock covers all three sums, so a progress event never pairs the
+// fence-stall cycles of one set of runs with the core cycles of another.
+type simSums struct {
+	mu                     sync.Mutex
+	cycles                 int64
+	coreCycles, fenceStall uint64
+}
+
+func (s *simSums) add(res kernels.Result) {
+	s.mu.Lock()
+	s.cycles += res.Cycles
+	s.coreCycles += res.CoreCycles
+	s.fenceStall += res.FenceStall
+	s.mu.Unlock()
+}
+
+// read returns the simulated cycles so far and the fence-stall share of
+// core time across the finished simulations: the same quantity as
+// kernels.Result.FenceStallFraction, pooled over runs.
+func (s *simSums) read() (cycles int64, share float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.coreCycles > 0 {
+		share = float64(s.fenceStall) / float64(s.coreCycles)
+	}
+	return s.cycles, share
+}
+
+// recoverRunner turns a panic inside next into that simulation's error.
+// Runners execute on the session's pool goroutines, where nothing above
+// them could recover the panic.
+func recoverRunner(next exp.Runner) exp.Runner {
+	return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (res kernels.Result, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic in %s simulation: %v", bench, p)
+			}
+		}()
+		return next(ctx, bench, opts, cfg)
+	}
 }

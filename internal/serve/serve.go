@@ -2,11 +2,12 @@
 // simulation service: an HTTP/JSON API over the experiment registry.
 // Clients POST jobs (an experiment ID plus sizing/parallelism knobs) into
 // a bounded worker pool, stream NDJSON progress events — per-experiment
-// completion plus live simulated-cycles/s and fence-stall share read off
-// the fast path by a counter-only observer — and fetch the finished
-// schema-versioned BENCH envelope, byte-identical to what a direct Lab
-// run produces (the simulator is deterministic; the serving layer adds
-// no entropy to results).
+// completion plus simulated-cycles/s and the fence-stall share, both
+// summed over the job's finished simulations, so observing a job adds
+// nothing to its cycle loops — and fetch the finished schema-versioned
+// BENCH envelope, byte-identical to what a direct Lab run produces (the
+// simulator is deterministic; the serving layer adds no entropy to
+// results). A panic while running a job fails that job, not the process.
 //
 // Per-job sessions share one results.RunCache, so identical jobs across
 // tenants coalesce to a single simulation and repeats are served from
@@ -16,7 +17,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs              submit  (202 + JobStatus; 503 when the queue is full or draining)
+//	POST   /v1/jobs              submit  (202 + JobStatus; 413 for a body over 64 KiB; 503 when the queue is full or draining)
 //	GET    /v1/jobs/{id}         status
 //	DELETE /v1/jobs/{id}         cancel (propagates into the cycle loop)
 //	GET    /v1/jobs/{id}/events  NDJSON event stream until the job is terminal
@@ -29,6 +30,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -59,7 +61,7 @@ type Options struct {
 	// the per-job timeout. 0 = no cap and no default timeout.
 	MaxJobTimeout time.Duration
 	// WrapRunner, when non-nil, wraps every job's fully composed runner
-	// (observer + cache). It exists for tests — fault injection and
+	// (simulation + cache). It exists for tests — fault injection and
 	// deterministic pool-saturation — and for extra instrumentation.
 	WrapRunner func(exp.Runner) exp.Runner
 }
@@ -153,7 +155,7 @@ func (s *Server) buildRegistry() *stats.Registry {
 	jobs := root.Sub("jobs")
 	jobs.Derived("submitted", "jobs accepted into the queue", s.submitted.Load)
 	jobs.Derived("completed", "jobs finished successfully", s.completed.Load)
-	jobs.Derived("failed", "jobs that returned an error (timeouts included)", s.failed.Load)
+	jobs.Derived("failed", "jobs that returned an error (timeouts and panics included)", s.failed.Load)
 	jobs.Derived("canceled", "jobs cancelled by DELETE, disconnect, or shutdown", s.canceled.Load)
 	jobs.Derived("rejected", "submits refused because the queue was full or draining", s.rejected.Load)
 	jobs.Derived("running", "jobs currently executing", func() uint64 { return uint64(s.running.Load()) })
@@ -272,9 +274,18 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	return j
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body. A JobRequest is a few
+// short fields, so anything near this size is not a job.
+const maxSubmitBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -582,4 +583,125 @@ func TestServeHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestServeFenceStallShareExact checks that the streamed fence-stall
+// share is computed from the job's finished results: the final progress
+// event must carry exactly ΣFenceStall / ΣCoreCycles (and ΣCycles) of
+// every simulation the job ran. Parallelism 1 makes the last event the
+// one emitted after the last simulation.
+func TestServeFenceStallShareExact(t *testing.T) {
+	var mu sync.Mutex
+	var recorded []kernels.Result
+	wrap := func(next exp.Runner) exp.Runner {
+		return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
+			res, err := next(ctx, bench, opts, cfg)
+			if err == nil {
+				mu.Lock()
+				recorded = append(recorded, res)
+				mu.Unlock()
+			}
+			return res, err
+		}
+	}
+	_, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap})
+
+	var last serve.Event
+	_, err := client.Run(context.Background(), serve.JobRequest{Experiment: "ablation/fss-recovery", Parallelism: 1},
+		func(ev serve.Event) error {
+			if ev.Type == "progress" {
+				last = ev
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(recorded) == 0 || last.Done != last.Total {
+		t.Fatalf("%d simulations recorded, final progress %d/%d", len(recorded), last.Done, last.Total)
+	}
+	var cycles int64
+	var fenceStall, coreCycles uint64
+	for _, r := range recorded {
+		cycles += r.Cycles
+		fenceStall += r.FenceStall
+		coreCycles += r.CoreCycles
+	}
+	want := float64(fenceStall) / float64(coreCycles)
+	if last.FenceStallShare != want {
+		t.Errorf("streamed fence-stall share %v, want ΣFenceStall/ΣCoreCycles = %d/%d = %v",
+			last.FenceStallShare, fenceStall, coreCycles, want)
+	}
+	if last.FenceStallShare < 0 || last.FenceStallShare > 1 {
+		t.Errorf("fence-stall share %v outside [0,1]", last.FenceStallShare)
+	}
+	if last.SimCycles != cycles {
+		t.Errorf("streamed simulated cycles %d, want %d", last.SimCycles, cycles)
+	}
+}
+
+// TestServeOversizedSubmit posts a body over the 64 KiB submit limit: the
+// server must answer 413 with a message and register no job.
+func TestServeOversizedSubmit(t *testing.T) {
+	srv, client := startServer(t, serve.Options{Scale: exp.Quick})
+	body := `{"experiment":"table4","scale":"` + strings.Repeat("x", 80<<10) + `"}`
+	resp, err := http.Post(client.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var msg map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg["error"], "exceeds") {
+		t.Fatalf("oversized submit: HTTP %d %v, want 413 with a size message", resp.StatusCode, msg)
+	}
+	if n := srv.StatsRegistry().Snapshot().UValue("serve.jobs.submitted"); n != 0 {
+		t.Errorf("serve.jobs.submitted = %d after an oversized submit, want 0", n)
+	}
+	if _, err := client.Status(context.Background(), "j1"); err == nil || !strings.Contains(err.Error(), "unknown job") {
+		t.Errorf("oversized submit registered a job: status err %v", err)
+	}
+}
+
+// TestServePanicIsolation injects a panic into a job's runner, which runs
+// on the session's pool goroutines: the job must fail with the panic as
+// its error, count in serve.jobs.failed, and the server must go on to run
+// the next job.
+func TestServePanicIsolation(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	wrap := func(next exp.Runner) exp.Runner {
+		return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
+			if armed.Load() {
+				panic("injected runner panic")
+			}
+			return next(ctx, bench, opts, cfg)
+		}
+	}
+	srv, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap, Workers: 1})
+	ctx := context.Background()
+
+	st, err := client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, client, st.ID, serve.StateFailed)
+	if !strings.Contains(failed.Error, "injected runner panic") {
+		t.Errorf("failed job error %q, want the panic value", failed.Error)
+	}
+	if n := srv.StatsRegistry().Snapshot().UValue("serve.jobs.failed"); n != 1 {
+		t.Errorf("serve.jobs.failed = %d, want 1", n)
+	}
+
+	armed.Store(false)
+	st, err = client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, client, st.ID, serve.StateDone)
 }

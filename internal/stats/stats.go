@@ -20,10 +20,9 @@
 //     and schema-versioned — the unit the results pipeline caches, diffs,
 //     and renders.
 //
-// The package also defines Observer, the counter-only observability sink
-// that — unlike a per-cycle Tracer — is compatible with the machine's
-// two-speed clock: sources deliver events as (event, count) increments,
-// and fast-forward credits skipped stall cycles in bulk.
+// The registry is the only aggregate observability path: readers take a
+// snapshot (or read a finished run's projection of one), so observing a
+// simulation adds no per-event callback to its cycle loop.
 package stats
 
 import (
@@ -305,23 +304,4 @@ func (s Snapshot) Equal(o Snapshot) bool {
 		}
 	}
 	return true
-}
-
-// Observer is a counter-only observability sink: a source delivers
-// pipeline events as (source id, event id, count) increments. Unlike a
-// per-cycle Tracer — which receives the cycle number, sequence number,
-// and instruction of every event and therefore pins the machine's
-// per-cycle slow path — an Observer only ever learns how often an event
-// happened, so the two-speed clock may credit it in bulk: fast-forwarding
-// delta quiescent cycles delivers one Observe call with n = delta per
-// once-per-cycle event instead of delta calls. Attaching an Observer must
-// never change a simulation's results, and the machine keeps
-// fast-forwarding with observers attached (asserted by the clock
-// equivalence tests).
-//
-// Implementations must be cheap — sources call them inline from the
-// cycle loop — and need only be safe for concurrent use when shared
-// across machines running in parallel.
-type Observer interface {
-	Observe(source int, event uint8, n uint64)
 }

@@ -1,11 +1,9 @@
-// Package trace provides pipeline observability sinks for the simulator:
-// a human-readable text tracer (one line per pipeline event, in the style
-// of academic simulator debug logs), a counting tracer, and a counting
-// observer. The tracers receive full per-cycle event detail and therefore
-// pin the machine's per-cycle slow path; the CountingObserver implements
-// stats.Observer — counter-only, so the two-speed clock keeps
-// fast-forwarding with it attached and credits skipped stall cycles in
-// bulk.
+// Package trace provides pipeline tracers for the simulator: a
+// human-readable text tracer (one line per pipeline event, in the style
+// of academic simulator debug logs) and a counting tracer. Tracers receive
+// full per-cycle event detail and therefore pin the machine's per-cycle
+// slow path; aggregate measurements come from the stats registry, which
+// costs nothing while the machine runs.
 package trace
 
 import (
@@ -16,7 +14,6 @@ import (
 	"sfence/internal/cpu"
 	"sfence/internal/isa"
 	"sfence/internal/machine"
-	"sfence/internal/stats"
 )
 
 // TextTracer writes one line per pipeline event to an io.Writer.
@@ -95,53 +92,5 @@ func (t *CountingTracer) Count(ev cpu.TraceEvent) uint64 {
 func Attach(m *machine.Machine, t cpu.Tracer) {
 	for i := 0; i < m.Cores(); i++ {
 		m.Core(i).SetTracer(t)
-	}
-}
-
-// CountingObserver tallies pipeline events by kind through the
-// counter-only stats.Observer interface. Unlike CountingTracer it does
-// not pin the machine's slow path: fast-forwarded stall cycles arrive as
-// bulk credits, and the final tallies are identical to what per-cycle
-// stepping would have produced (asserted by the clock equivalence tests).
-type CountingObserver struct {
-	mu     sync.Mutex
-	counts map[cpu.TraceEvent]uint64
-}
-
-// NewCountingObserver builds an empty counting observer.
-func NewCountingObserver() *CountingObserver {
-	return &CountingObserver{counts: make(map[cpu.TraceEvent]uint64)}
-}
-
-// Observe implements stats.Observer.
-func (o *CountingObserver) Observe(_ int, event uint8, n uint64) {
-	o.mu.Lock()
-	o.counts[cpu.TraceEvent(event)] += n
-	o.mu.Unlock()
-}
-
-// Count returns the tally for one event kind.
-func (o *CountingObserver) Count(ev cpu.TraceEvent) uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.counts[ev]
-}
-
-// Counts returns a copy of every tally.
-func (o *CountingObserver) Counts() map[cpu.TraceEvent]uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make(map[cpu.TraceEvent]uint64, len(o.counts))
-	for ev, n := range o.counts {
-		out[ev] = n
-	}
-	return out
-}
-
-// AttachObserver installs the counter-only observer on every core of a
-// machine.
-func AttachObserver(m *machine.Machine, o stats.Observer) {
-	for i := 0; i < m.Cores(); i++ {
-		m.Core(i).SetObserver(o)
 	}
 }

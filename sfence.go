@@ -85,13 +85,6 @@ type (
 	StatsSnapshot = stats.Snapshot
 	// StatsSample is one stat's value inside a snapshot.
 	StatsSample = stats.Sample
-	// StatsObserver is the counter-only observability sink: unlike a
-	// Tracer it never pins the two-speed clock's slow path (fast-forward
-	// credits skipped stall-cycle events in bulk).
-	StatsObserver = stats.Observer
-	// CountingObserver tallies pipeline events by kind through the
-	// counter-only observer interface.
-	CountingObserver = trace.CountingObserver
 
 	// BenchmarkInfo describes one of the paper's benchmarks (Table IV).
 	BenchmarkInfo = kernels.Info
@@ -252,8 +245,7 @@ type Tracer = cpu.Tracer
 // TraceEvent identifies a pipeline event kind.
 type TraceEvent = cpu.TraceEvent
 
-// Pipeline event kinds, delivered to Tracers (with per-cycle detail) and
-// to counter-only StatsObservers (as counts).
+// Pipeline event kinds, delivered to Tracers with per-cycle detail.
 const (
 	TraceDecode     = cpu.TraceDecode
 	TraceExecute    = cpu.TraceExecute
@@ -273,29 +265,9 @@ func NewTextTracer(w io.Writer, limitCycles int64) Tracer {
 
 // AttachTracer installs a tracer on every core of a machine. Tracers
 // observe per-cycle events, so a traced machine steps every cycle
-// (Machine.Clock reports TracerPinned); use AttachObserver for
-// fast-forward-compatible counting.
+// (Machine.Clock reports TracerPinned); for aggregate counts read
+// Machine.StatsSnapshot instead, which never slows the clock.
 func AttachTracer(m *Machine, t Tracer) { trace.Attach(m, t) }
-
-// NewCountingObserver returns a counter-only observer tallying pipeline
-// events by kind.
-func NewCountingObserver() *CountingObserver { return trace.NewCountingObserver() }
-
-// AttachObserver installs a counter-only observer on every core of a
-// machine. Observers never pin the two-speed clock and cannot change
-// simulation results.
-func AttachObserver(m *Machine, o StatsObserver) { trace.AttachObserver(m, o) }
-
-// RunBenchmarkObserved is RunBenchmarkContext with a counter-only
-// observer attached to every core (nil disables observation). Unlike
-// RunBenchmarkTraced, the two-speed clock keeps fast-forwarding.
-func RunBenchmarkObserved(ctx context.Context, name string, opts BenchmarkOptions, cfg Config, obs StatsObserver) (BenchmarkResult, error) {
-	k, err := kernels.Build(name, opts)
-	if err != nil {
-		return BenchmarkResult{}, err
-	}
-	return kernels.RunObserved(ctx, k, cfg, obs)
-}
 
 // Configuration-derived tables and cost model (no simulation involved).
 // The simulated experiments live behind Lab.Run and the experiment
