@@ -57,11 +57,16 @@ func snapshotSansClock(s stats.Snapshot) stats.Snapshot {
 	return out
 }
 
-// assertMachinesEqual compares every observable of the two finished runs.
+// assertMachinesEqual compares every observable of the two finished runs
+// and checks that the event-driven run's slow ticks and skipped cycles
+// partition its cycles.
 func assertMachinesEqual(t *testing.T, name string, naive, event *machine.Machine, nc, ec int64) {
 	t.Helper()
 	if nc != ec {
 		t.Fatalf("%s: cycle count diverged: naive %d, event-driven %d", name, nc, ec)
+	}
+	if cs := event.Clock(); cs.SlowTicks+cs.SkippedCycles != ec {
+		t.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles", name, cs.SlowTicks, cs.SkippedCycles, ec)
 	}
 	// Fast-forward exactness for EVERY registered stat, not just the
 	// headline counters: the full registry snapshots (per-core pipeline,
@@ -153,9 +158,6 @@ func TestClockEquivalenceKernels(t *testing.T) {
 							t.Errorf("%s: event-driven result failed verification: %v", name, err)
 						}
 					}
-					if cs := mE.Clock(); cs.SlowTicks+cs.SkippedCycles != ec {
-						t.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles", name, cs.SlowTicks, cs.SkippedCycles, ec)
-					}
 				})
 			}
 		}
@@ -196,22 +198,32 @@ func TestClockEquivalenceDepth3(t *testing.T) {
 }
 
 // TestClockEquivalenceManyCore differences the scale kernels on wide
-// machines at the benchmark's sizing. scale-imb's straggler computes
-// while every other core spins at the barrier, which is where the
-// event-driven clock parks spinners and catches them up at the release;
-// scale at 65 cores runs the paged sharer sets without such a tail.
+// machines: 64 cores (the widest inline sharer bitmask), 65 (the first
+// paged sharer set) and 256. scale-imb's straggler computes while every
+// other core spins at the barrier, which is where the event-driven clock
+// parks spinners and catches them up at the release; scale has no such
+// tail, and at Workload 4 its longer private compute phases let the
+// clock jump across many idle cores at once.
 func TestClockEquivalenceManyCore(t *testing.T) {
 	for _, tc := range []struct {
-		bench string
-		cores int
+		bench    string
+		cores    int
+		workload int
 	}{
-		{"scale-imb", 64},
-		{"scale", 65},
+		{"scale-imb", 64, 1},
+		{"scale", 65, 1},
+		{"scale", 65, 4},
+		{"scale-imb", 65, 1},
+		{"scale", 256, 4},
+		{"scale-imb", 256, 1},
 	} {
 		for _, mode := range []kernels.FenceMode{kernels.Traditional, kernels.Scoped} {
 			name := fmt.Sprintf("%s/%d/%v", tc.bench, tc.cores, mode)
+			if tc.workload != 1 {
+				name += fmt.Sprintf("/workload=%d", tc.workload)
+			}
 			t.Run(name, func(t *testing.T) {
-				opts := kernels.Options{Mode: mode, Threads: tc.cores, Ops: 2, Workload: 1}
+				opts := kernels.Options{Mode: mode, Threads: tc.cores, Ops: 2, Workload: tc.workload}
 				cfg := machine.DefaultConfig()
 				cfg.Cores = tc.cores
 				kN, mN := buildKernelMachine(t, tc.bench, opts, cfg)
@@ -224,9 +236,6 @@ func TestClockEquivalenceManyCore(t *testing.T) {
 				assertMachinesEqual(t, name, mN, mE, nc, ec)
 				if err := kN.Verify(mE.Image()); err != nil {
 					t.Errorf("%s: event-driven result failed verification: %v", name, err)
-				}
-				if cs := mE.Clock(); cs.SlowTicks+cs.SkippedCycles != ec {
-					t.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles", name, cs.SlowTicks, cs.SkippedCycles, ec)
 				}
 			})
 		}
@@ -273,9 +282,6 @@ func TestClockSpinForwardDepth3(t *testing.T) {
 				}
 				assertMachinesEqual(t, name, mN, mE, nc, ec)
 				cs := mE.Clock()
-				if cs.SlowTicks+cs.SkippedCycles != ec {
-					t.Errorf("clock accounting broken: %d slow + %d skipped != %d cycles", cs.SlowTicks, cs.SkippedCycles, ec)
-				}
 				if cs.SpinJumps > cs.Jumps || cs.SpinSkippedCycles > cs.SkippedCycles {
 					t.Errorf("spin accounting exceeds totals: %+v", cs)
 				}

@@ -51,7 +51,6 @@ func main() {
 		server     = flag.String("server", "", "run experiments on the sfence-serve instance at this base URL instead of locally (output is the JSON envelope)")
 		tenant     = flag.String("tenant", "", "tenant label sent with -server requests (X-Tenant header)")
 		parallel   = flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
-		workers    = flag.Int("workers", 0, "machine worker threads per simulation (0 = GOMAXPROCS left over by -parallel; 1 = sequential)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -147,7 +146,6 @@ func main() {
 			req := serve.JobRequest{
 				Experiment:         id,
 				Scale:              scaleName,
-				Workers:            *workers,
 				Parallelism:        *parallel,
 				CancelOnDisconnect: true,
 			}
@@ -175,24 +173,9 @@ func main() {
 		}
 		return
 	}
-	// The two parallelism axes compose: -parallel spreads independent
-	// simulations across a pool, -workers parallelizes inside each
-	// machine. The default gives each axis its fair share of GOMAXPROCS
-	// so their product never oversubscribes the host.
-	w := *workers
-	if w == 0 {
-		pool := *parallel
-		if pool <= 0 {
-			pool = runtime.GOMAXPROCS(0)
-		}
-		if w = runtime.GOMAXPROCS(0) / pool; w < 1 {
-			w = 1
-		}
-	}
 	labOpts := []sfence.LabOption{
 		sfence.WithScale(sc),
 		sfence.WithParallelism(*parallel),
-		sfence.WithWorkers(w),
 	}
 	if *cacheDir != "" {
 		cache, err := sfence.NewRunCache(*cacheDir)

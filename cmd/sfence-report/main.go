@@ -39,7 +39,6 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable the run cache")
 		progress   = flag.Bool("progress", true, "report per-experiment progress on stderr")
 		parallel   = flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
-		workers    = flag.Int("workers", 0, "machine worker threads per simulation (0 = GOMAXPROCS left over by -parallel; 1 = sequential)")
 		simperf    = flag.Bool("simperf", false, "also measure the simulator itself (naive vs. event-driven clock) and write BENCH_SIMPERF.json; wall-clock based, so not byte-deterministic")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -84,22 +83,9 @@ func main() {
 	if *quick {
 		sc = sfence.Quick
 	}
-	// Like sfence-bench: give the simulation pool and the per-machine
-	// worker pool complementary shares of GOMAXPROCS by default.
-	w := *workers
-	if w == 0 {
-		pool := *parallel
-		if pool <= 0 {
-			pool = runtime.GOMAXPROCS(0)
-		}
-		if w = runtime.GOMAXPROCS(0) / pool; w < 1 {
-			w = 1
-		}
-	}
 	labOpts := []sfence.LabOption{
 		sfence.WithScale(sc),
 		sfence.WithParallelism(*parallel),
-		sfence.WithWorkers(w),
 	}
 	if !*noCache {
 		cache, err := sfence.NewRunCache(*cacheDir)
@@ -162,12 +148,6 @@ func main() {
 			fail(errors.New("simperf payload has unexpected type"))
 		}
 		for _, r := range rep.Rows {
-			if r.Workers > 0 {
-				fmt.Fprintf(os.Stderr, "simperf: %-12s %d cores, workers=%d  %9d cycles  seq %6.1fms  par %6.1fms  %6.2fx\n",
-					r.Bench, r.Cores, r.Workers, r.SimCycles,
-					float64(r.SeqNs)/1e6, float64(r.EventNs)/1e6, r.ParSpeedup)
-				continue
-			}
 			fmt.Fprintf(os.Stderr, "simperf: %-12s %-12s %9d cycles  naive %8.0f cyc/s  event %9.0f cyc/s  %6.2fx\n",
 				r.Bench, r.Mode, r.SimCycles, r.NaiveCyclesPerSec, r.EventCyclesPerSec, r.Speedup)
 		}

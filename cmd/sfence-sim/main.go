@@ -28,7 +28,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"sfence"
@@ -55,7 +54,6 @@ func main() {
 		stats     = flag.Bool("stats", false, "print the full hierarchical stats snapshot (every registered counter)")
 		statsJSON = flag.Bool("stats-json", false, "emit the stats snapshot as JSON on stdout (implies quiet summary)")
 		timeout   = flag.Duration("timeout", 0, "abort the simulation after this wall-clock duration (0 = no limit)")
-		workers   = flag.Int("workers", 0, "machine worker threads for the epoch-barriered parallel runner (0 = GOMAXPROCS; 1 = sequential; results are bit-identical either way)")
 		genSeed   = flag.Int64("gen", 0, "replay the generated fuzz scenario with this seed through the full differential check (ignores -bench)")
 		genDump   = flag.String("gen-dump", "", "with -gen: print the named fence variant's disassembly (traditional | class | set) instead of checking")
 		scopeGate = flag.Bool("scopecheck", false, "statically verify fence scopes: all kernels, all litmus families, and the committed fuzz corpus (ignores -bench)")
@@ -134,10 +132,6 @@ func main() {
 	if *robsize > 0 {
 		cfg.Core.ROBSize = *robsize
 	}
-	if *workers == 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	cfg.Parallel.Workers = *workers
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -173,14 +173,6 @@ type Core struct {
 
 	spin spinState
 
-	// Parallel-epoch gate (see epoch.go): while localOnly is set every
-	// hierarchy access must be a private-L1 hit; the first that is not
-	// latches epochBlocked instead of executing, and undoLog records the
-	// Image words overwritten in-epoch so an abort can restore them.
-	localOnly    bool
-	epochBlocked bool
-	undoLog      []imgUndo
-
 	fenceStallSeen bool // one fence-stall count per cycle
 	robFullSeen    bool
 	sbFullSeen     bool
@@ -401,16 +393,10 @@ func (c *Core) completeSB() {
 				// from the drained entry had already started).
 				c.schedDirty = true
 			}
-			if c.OnStoreComplete != nil && !c.localOnly {
+			if c.OnStoreComplete != nil {
 				// Announce before the word changes: a core the machine
 				// has parked in a spin is caught up against the old value.
 				c.OnStoreComplete(c.id, e.addr)
-			}
-			if c.localOnly {
-				// In-epoch drain: no other core holds the line (the issue
-				// required M/E, or the hazard scan kept shared lines out),
-				// so the word is race-free; log it for a possible abort.
-				c.undoLog = append(c.undoLog, imgUndo{e.addr, c.img.Load(e.addr)})
 			}
 			c.img.Store(e.addr, e.val)
 			c.decBits(c.scope.sbCnt, e.fsb)
@@ -458,10 +444,7 @@ func (c *Core) issueSB() {
 		if older {
 			continue
 		}
-		lat, ok := c.access(e.addr, true)
-		if !ok {
-			break // epoch-gated: the issue waits for the sequential re-run
-		}
+		lat := c.hier.Access(c.id, e.addr, true)
 		e.inflight = true
 		e.readyAt = c.cycle + int64(lat)
 		c.sbInflight++
@@ -531,10 +514,7 @@ func (c *Core) completeROB() {
 			c.decBits(c.scope.robLoadCnt, e.fsb)
 		case isa.OpCAS:
 			// The read-modify-write happens atomically at completion.
-			if c.localOnly {
-				c.undoLog = append(c.undoLog, imgUndo{e.addr, c.img.Load(e.addr)})
-			}
-			if c.OnStoreComplete != nil && !c.localOnly && c.img.Load(e.addr) == e.casOld {
+			if c.OnStoreComplete != nil && c.img.Load(e.addr) == e.casOld {
 				// A CAS about to succeed is announced before the word
 				// changes, like a drain (see completeSB).
 				c.OnStoreComplete(c.id, e.addr)
@@ -997,10 +977,7 @@ func (c *Core) tryStartLoad(e *robEntry, seq uint64) {
 			return
 		}
 	}
-	lat, ok := c.access(e.addr, false)
-	if !ok {
-		return // epoch-gated: the load retries after the epoch aborts
-	}
+	lat := c.hier.Access(c.id, e.addr, false)
 	e.val = c.img.Load(e.addr)
 	e.accessedMem = true
 	c.spinWatch(e.addr)
@@ -1059,10 +1036,7 @@ func (c *Core) tryStartCAS(e *robEntry, seq uint64) {
 	}
 	e.casOld = c.readSrc(e.src2, e.inst.Rs2)
 	e.sval = c.readSrc(e.src3, e.inst.Rs3)
-	lat, ok := c.access(e.addr, true)
-	if !ok {
-		return // epoch-gated: the CAS retries after the epoch aborts
-	}
+	lat := c.hier.Access(c.id, e.addr, true)
 	e.accessedMem = true
 	c.spinWatch(e.addr)
 	e.stage = stExecuting

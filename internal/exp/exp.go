@@ -82,7 +82,6 @@ type Session struct {
 	runner      Runner // nil = DirectRun
 	progress    ProgressFunc
 	parallelism int
-	workers     int
 }
 
 // NewSession builds a session. A nil runner simulates directly, a nil
@@ -94,17 +93,6 @@ func NewSession(runner Runner, progress ProgressFunc, parallelism int) *Session 
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	return &Session{runner: runner, progress: progress, parallelism: parallelism}
-}
-
-// WithWorkers returns a session whose simulations default to the
-// epoch-barriered parallel machine runner with n worker threads.
-// Explicit cfg.Parallel settings in an experiment still win; results are
-// bit-identical at any worker count (the simulator asserts it), so this
-// only changes wall-clock time. n <= 1 keeps the sequential loop.
-func (s *Session) WithWorkers(n int) *Session {
-	out := *s
-	out.workers = n
-	return &out
 }
 
 // DirectRun builds and simulates one benchmark configuration, bypassing
@@ -123,9 +111,6 @@ func DirectRun(ctx context.Context, bench string, opts kernels.Options, cfg mach
 func (s *Session) runOne(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
 	if opts.Threads == 0 {
 		opts.Threads = threadsFor(bench)
-	}
-	if cfg.Parallel.Workers == 0 && s.workers > 1 {
-		cfg.Parallel.Workers = s.workers
 	}
 	if s.runner != nil {
 		return s.runner(ctx, bench, opts, cfg)

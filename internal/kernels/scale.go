@@ -32,12 +32,10 @@ func init() {
 // thread owns a small private array (well inside the 32 KiB L1) and a
 // tiny read-shared constant table, and alternates long phases of
 // LCG-indexed read-modify-write compute over that array with one
-// synchronization round. The compute phases are exactly the private-hit
-// traffic the parallel runner's optimistic epochs commit; the per-round
-// synchronization is the rare cross-core interaction that aborts back to
-// the sequential loop. The read-shared table gives every line a
-// full-machine sharer set, which at 65+ threads exercises the
-// directory's paged sharer representation.
+// synchronization round. The compute phases are private L1 hits; the
+// per-round synchronization is the only cross-core interaction. The
+// read-shared table gives every line a full-machine sharer set, which at
+// 65+ threads exercises the directory's paged sharer representation.
 //
 // scale (straggle == 1) synchronizes over a ring: publish the running
 // checksum to a comm slot, fence, read the left neighbor's slot.
@@ -48,13 +46,11 @@ func init() {
 // line each — no contended CAS), the highest-numbered thread scans the
 // slots and then releases a shared flag, and everyone else spins on the
 // flag. While the straggler finishes its solo tail the other cores sit
-// in confirmed spin loops on locally cached lines: the sequential
-// two-speed clock cannot jump (one core is still active) and pays a
-// full tick per spinning core per cycle, whereas the parallel runner's
-// epochs fast-forward each spinner independently. That asymmetry is the
-// workload's point — it is the barrier-tail pattern wide machines
-// actually exhibit, and it is where the epoch core's wall-clock win
-// lives.
+// in confirmed spin loops on locally cached lines: the two-speed clock
+// cannot jump (one core is still active), so it parks the spinners and
+// ticks the straggler alone until its release store catches them up.
+// That barrier tail is the pattern wide machines actually exhibit, and
+// the workload exists to measure it.
 const (
 	scaleArrWords   = 256 // 2 KiB private array (32 lines)
 	scaleTableWords = 64  // read-shared constant table (8 lines)
@@ -338,7 +334,7 @@ func buildScale(opts Options, straggle int64) (*Kernel, error) {
 // emitScaleCompute emits one compute phase: rIter iterations of
 // LCG-indexed read-modify-write over the private array plus a
 // read-shared table gather — all L1 hits after warmup, so the whole
-// phase runs inside an optimistic epoch.
+// phase stays inside the core's private cache.
 func emitScaleCompute(b *isa.Builder, arrMask, tabMask int64) {
 	const (
 		rX    = isa.R25

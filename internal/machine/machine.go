@@ -38,19 +38,6 @@ type Config struct {
 	// MaxCycles aborts Run when exceeded (0 means the DefaultMaxCycles
 	// safety net).
 	MaxCycles int64
-	// Parallel configures the optimistic-epoch parallel runner. The
-	// zero value (Workers 0) and Workers 1 select the sequential
-	// two-speed loop; results are bit-identical either way.
-	Parallel ParallelConfig
-}
-
-// ParallelConfig selects how many OS threads step cores inside the
-// optimistic epochs of Run's parallel mode (see runParallel). Workers
-// only changes wall-clock time: snapshots, registers, memory, and every
-// registered statistic outside machine.clock.* are bit-identical for
-// any worker count.
-type ParallelConfig struct {
-	Workers int
 }
 
 // DefaultMaxCycles is the runaway-simulation safety net.
@@ -71,9 +58,6 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.Cores < 1 || c.Cores > memsys.MaxCores {
 		return fmt.Errorf("machine: %d cores out of range [1,%d]", c.Cores, memsys.MaxCores)
-	}
-	if c.Parallel.Workers < 0 {
-		return fmt.Errorf("machine: %d parallel workers (want >= 0)", c.Parallel.Workers)
 	}
 	if c.ImageSize < 1024 {
 		return fmt.Errorf("machine: image size %d too small", c.ImageSize)
@@ -122,23 +106,15 @@ type Machine struct {
 // ticks included, are the per-core machine.clock.coreN_spin_* counters.
 // TracerPinned records that fast-forwarding was disabled because a
 // per-cycle pipeline tracer was attached — so zero jumps on a traced run
-// reads as "pinned", not "never idle".
-//
-// The parallel runner adds its own accounting: Epochs counts attempted
-// optimistic epochs, EpochFails the ones that aborted and were re-run
-// sequentially, and EpochCycles the machine cycles committed by
-// successful epochs. SlowTicks+SkippedCycles+EpochCycles equals the
-// final cycle count. All of it lives under machine.clock.* because it
-// describes how the clock ran, not what the simulated hardware did.
+// reads as "pinned", not "never idle". SlowTicks+SkippedCycles equals
+// the final cycle count. All of it lives under machine.clock.* because
+// it describes how the clock ran, not what the simulated hardware did.
 type ClockStats struct {
 	SlowTicks         int64
 	SkippedCycles     int64
 	Jumps             int64
 	SpinJumps         int64
 	SpinSkippedCycles int64
-	Epochs            int64
-	EpochFails        int64
-	EpochCycles       int64
 	TracerPinned      bool
 }
 
@@ -251,9 +227,6 @@ func (m *Machine) registerMachineStats(g *stats.Group) {
 	clock.Derived("jumps", "fast-forward jumps taken", func() uint64 { return uint64(m.clock.Jumps) })
 	clock.Derived("spin_jumps", "jumps taken while at least one core was parked in a confirmed spin", func() uint64 { return uint64(m.clock.SpinJumps) })
 	clock.Derived("spin_skipped_cycles", "cycles covered by jumps taken while a core was parked", func() uint64 { return uint64(m.clock.SpinSkippedCycles) })
-	clock.Derived("epochs", "optimistic parallel epochs attempted", func() uint64 { return uint64(m.clock.Epochs) })
-	clock.Derived("epoch_fails", "epochs aborted and re-run sequentially", func() uint64 { return uint64(m.clock.EpochFails) })
-	clock.Derived("epoch_cycles", "machine cycles committed by successful epochs", func() uint64 { return uint64(m.clock.EpochCycles) })
 	clock.Derived("tracer_pinned", "1 when a per-cycle tracer disabled fast-forwarding", func() uint64 {
 		if m.clock.TracerPinned {
 			return 1
@@ -500,21 +473,14 @@ func (m *Machine) Run(ctx context.Context) (int64, error) {
 	if err := m.Fault(); err != nil {
 		return m.cycle, err
 	}
-	if m.cfg.Parallel.Workers > 1 {
-		return m.runParallel(ctx, limit)
-	}
-	_, err := m.runSeq(ctx, limit, limit)
+	err := m.runSeq(ctx, limit)
 	return m.cycle, err
 }
 
-// runSeq is the sequential two-speed loop: it executes while m.cycle <
-// until, returning (true, nil) when every core finished, (false, err)
-// on a fault, an exhausted cycle budget, or cancellation, and (false,
-// nil) when until was reached first. Run calls it with until == limit
-// (the budget error fires before the until return, preserving the
-// historical behaviour); the parallel runner uses bounded legs between
-// epoch attempts. Every return catches the parked cores up first.
-func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) {
+// runSeq is the two-speed loop: it returns nil when every core finished,
+// and an error on a fault, an exhausted cycle budget, or cancellation.
+// Every return catches the parked cores up first.
+func (m *Machine) runSeq(ctx context.Context, limit int64) error {
 	defer m.unparkAll()
 	park := !m.traced()
 	done := ctx.Done()
@@ -524,22 +490,19 @@ func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) 
 			untilCheck = ctxCheckInterval
 			select {
 			case <-done:
-				return false, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
 		if m.cycle >= limit {
-			return false, fmt.Errorf("machine: exceeded %d cycles (livelock or runaway program?)", limit)
-		}
-		if m.cycle >= until {
-			return false, nil
+			return fmt.Errorf("machine: exceeded %d cycles (livelock or runaway program?)", limit)
 		}
 		allDone, fault, active := m.stepCycle(park)
 		if allDone {
-			return true, nil
+			return nil
 		}
 		if fault != nil {
-			return false, fault
+			return fault
 		}
 		if active {
 			continue

@@ -437,34 +437,6 @@ func (h *Hierarchy) Sharers(addr int64) ([]int, bool) {
 	return nil, false
 }
 
-// SharersBesides reports whether the directory names any core other than
-// core as a sharer of addr's line. An absent directory entry is
-// conservatively reported as shared: the set is unknown, so callers must
-// assume another core holds a copy. The probe is read-only — no LRU
-// movement, no stats — so the parallel engine's hazard scan can call it
-// without perturbing the simulation.
-func (h *Hierarchy) SharersBesides(core int, addr int64) bool {
-	if l := h.directory().find(h.lineOf(addr)); l != nil {
-		return l.sharers.anyBesides(core)
-	}
-	return true
-}
-
-// LocalHit reports whether an access by core to addr would be a pure
-// private-L1 hit: a read of any valid line, or a write to a Modified or
-// Exclusive line (the silent E→M upgrade). Exactly these accesses touch
-// only core-indexed state (the core's own L1 bank, ver[core],
-// stats[core]) inside Access — a Shared-write upgrade travels to the
-// directory and so reports false. The probe is read-only; the machine's
-// parallel epochs use it to fence cores off the shared levels.
-func (h *Hierarchy) LocalHit(core int, addr int64, write bool) bool {
-	l := h.inner[core].find(h.lineOf(addr))
-	if l == nil {
-		return false
-	}
-	return !write || l.state == l1Modified || l.state == l1Exclusive
-}
-
 // --- innermost-level helpers ---
 
 func (c *l1Cache) find(line int64) *l1Line {

@@ -15,8 +15,7 @@
 // sim-skip workload (eight machines) spends 8.2 ms instead of 84.5 ms in
 // machine.New and allocates 19 MiB instead of 523 MiB. Loads never
 // allocate, and a missing page is installed with a compare-and-swap so
-// that the parallel epoch runner's cores may store to distinct words
-// concurrently.
+// that goroutines may store to distinct words concurrently.
 //
 // # Timing-directed split
 //

@@ -32,9 +32,8 @@ type page [pageWords]int64
 // word of a page never stored to reads as zero. Building an image thus
 // costs its page table, not its size, and loads (wrong-path ones
 // included) never allocate. Stores to distinct words may run
-// concurrently, as the parallel epoch runner's cores do; a missing page
-// is installed with a compare-and-swap so racing first stores agree on
-// one page.
+// concurrently: a missing page is installed with a compare-and-swap so
+// racing first stores agree on one page.
 type Image struct {
 	pages []atomic.Pointer[page]
 	mask  int64 // byte-address mask (size-1, with low 3 bits cleared by Norm)

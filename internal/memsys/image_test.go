@@ -140,8 +140,8 @@ func TestImageFirstDiff(t *testing.T) {
 }
 
 // TestImageConcurrentFirstStores has several goroutines store to
-// distinct words of one fresh page at once, as the parallel epoch
-// runner's cores may; every store must survive the racing page installs.
+// distinct words of one fresh page at once; every store must survive the
+// racing page installs.
 func TestImageConcurrentFirstStores(t *testing.T) {
 	const workers, perWorker = 8, pageWords / 8
 	for round := 0; round < 20; round++ {

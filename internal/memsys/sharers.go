@@ -82,26 +82,6 @@ func (s *sharerSet) lone(core int) bool {
 	return true
 }
 
-// anyBesides reports whether the set names any core other than core.
-func (s *sharerSet) anyBesides(core int) bool {
-	low := s.low
-	if core < 64 {
-		low &^= 1 << uint(core)
-	}
-	if low != 0 {
-		return true
-	}
-	for i, w := range s.ext {
-		if core >= 64 && i == core/64-1 {
-			w &^= 1 << uint(core%64)
-		}
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // fill sets cores 0..n-1 — the conservative "assume every core" mask a
 // middle shared level falls back to when the directory entry is gone.
 func (s *sharerSet) fill(n int) {

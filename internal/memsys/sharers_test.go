@@ -41,62 +41,6 @@ func TestSharers(t *testing.T) {
 	}
 }
 
-// TestSharersBesides pins the hazard probe the parallel engine's epoch
-// scan relies on: exact when the directory knows the line, conservative
-// (true) when it does not.
-func TestSharersBesides(t *testing.T) {
-	h := MustHierarchy(4, DefaultConfig())
-	const addr = 8192
-
-	if !h.SharersBesides(0, addr) {
-		t.Fatalf("unknown line must conservatively report other sharers")
-	}
-	h.Access(0, addr, false)
-	if h.SharersBesides(0, addr) {
-		t.Fatalf("sole reader reported a foreign sharer")
-	}
-	h.Access(3, addr, false)
-	if !h.SharersBesides(0, addr) {
-		t.Fatalf("second reader not reported")
-	}
-	h.Access(0, addr, true)
-	if h.SharersBesides(0, addr) {
-		t.Fatalf("post-write set should be the writer alone")
-	}
-}
-
-// TestLocalHit pins the locality predicate: reads hit any valid state,
-// writes only M or E, and the probe itself never mutates timing state.
-func TestLocalHit(t *testing.T) {
-	h := MustHierarchy(4, DefaultConfig())
-	const addr = 512
-
-	if h.LocalHit(0, addr, false) {
-		t.Fatalf("cold line reported as local hit")
-	}
-	h.Access(0, addr, false) // sole reader: E
-	if !h.LocalHit(0, addr, false) || !h.LocalHit(0, addr, true) {
-		t.Fatalf("E line must be a local hit for both read and write")
-	}
-	h.Access(1, addr, false) // second reader demotes to S
-	if !h.LocalHit(0, addr, false) {
-		t.Fatalf("S line must be a local read hit")
-	}
-	if h.LocalHit(0, addr, true) {
-		t.Fatalf("S write is a directory upgrade, not a local hit")
-	}
-	ver := h.CoreVersion(0)
-	h.LocalHit(0, addr, true)
-	h.LocalHit(0, addr, false)
-	if h.CoreVersion(0) != ver {
-		t.Fatalf("LocalHit perturbed the core version")
-	}
-	h.Access(2, addr, true) // remote write invalidates core 0's copy
-	if h.LocalHit(0, addr, false) {
-		t.Fatalf("invalidated line reported as local hit")
-	}
-}
-
 // TestManyCoreSharers audits the uint64-mask assumptions at 65 and 256
 // cores: membership past bit 63, invalidation fan-out, write reset, and
 // the O(sharers) iteration order.
@@ -116,13 +60,12 @@ func TestManyCoreSharers(t *testing.T) {
 		if !ok || !reflect.DeepEqual(set, readers) {
 			t.Fatalf("cores=%d: sharers = %v, want %v", cores, set, readers)
 		}
+		// l1 returns core c's private copy of the line, nil if it has none.
+		l1 := func(c int) *l1Line { return h.inner[c].find(h.lineOf(addr)) }
 		for _, c := range readers {
-			if !h.LocalHit(c, addr, false) {
+			if l1(c) == nil {
 				t.Fatalf("cores=%d: core %d lost its read copy", cores, c)
 			}
-		}
-		if !h.SharersBesides(64, addr) || h.SharersBesides(64, addr+4096) == false {
-			t.Fatalf("cores=%d: SharersBesides wrong past bit 63", cores)
 		}
 
 		// A write by the last core must invalidate every reader — including
@@ -134,14 +77,14 @@ func TestManyCoreSharers(t *testing.T) {
 			t.Fatalf("cores=%d: post-write sharers = %v, want [%d]", cores, set, w)
 		}
 		for _, c := range readers[:len(readers)-1] {
-			if h.LocalHit(c, addr, false) {
+			if l1(c) != nil {
 				t.Fatalf("cores=%d: core %d kept a stale copy across invalidation", cores, c)
 			}
 			if h.Stats(c).Invalidations != 1 {
 				t.Fatalf("cores=%d: core %d invalidations = %d, want 1", cores, c, h.Stats(c).Invalidations)
 			}
 		}
-		if !h.LocalHit(w, addr, true) {
+		if l := l1(w); l == nil || (l.state != l1Modified && l.state != l1Exclusive) {
 			t.Fatalf("cores=%d: writer does not own the line", cores)
 		}
 	}
@@ -160,11 +103,11 @@ func TestSharerSetOps(t *testing.T) {
 	if got := s.members(); !reflect.DeepEqual(got, []int{0, 63, 64, 127, 128, 300}) {
 		t.Fatalf("members = %v", got)
 	}
-	if s.lone(64) || !s.anyBesides(64) {
+	if s.lone(64) {
 		t.Fatalf("multi-member set misreported as lone")
 	}
 	s.only(64)
-	if !s.lone(64) || s.anyBesides(64) || s.contains(300) {
+	if !s.lone(64) || s.contains(0) || s.contains(300) {
 		t.Fatalf("only(64) = %v", s.members())
 	}
 	s.only(3)

@@ -208,7 +208,7 @@ func TestCheckConcurrentSeeds(t *testing.T) {
 		if rep.Threads < 2 || rep.Threads > concMaxThreads {
 			t.Fatalf("seed %d: %d threads out of range", seed, rep.Threads)
 		}
-		if want := len(depths) * (NumVariants + 1) * (1 + len(concWorkerCounts)); len(rep.Runs) != want {
+		if want := len(depths) * (NumVariants + 1); len(rep.Runs) != want {
 			t.Fatalf("seed %d: %d runs, want %d", seed, len(rep.Runs), want)
 		}
 		if rep.OracleSteps <= 0 {
@@ -222,9 +222,8 @@ func TestCheckConcurrentSeeds(t *testing.T) {
 }
 
 // TestCheckConcurrentWide runs the full differential on one wide
-// (>=16-thread) scenario: many-sharer directory state, worker
-// partitioning across a machine wider than any narrow fuzz draw, and
-// the SC oracle all have to agree. The committed fuzz corpus carries
+// (>=16-thread) scenario: many-sharer directory state on a machine wider
+// than any narrow fuzz draw and the SC oracle have to agree. The committed fuzz corpus carries
 // two wide seeds; this test keeps one of them in the always-on suite
 // even when the corpus is not replayed.
 func TestCheckConcurrentWide(t *testing.T) {

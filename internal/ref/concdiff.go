@@ -21,24 +21,16 @@ const concOracleMaxSteps = 4_000_000
 // livelock inside the fuzzer fails in seconds, not minutes.
 const concMaxCycles = 50_000_000
 
-// concWorkerCounts are the parallel worker counts every scenario is
-// additionally run under; each must be bit-identical to the sequential
-// event-driven run.
-var concWorkerCounts = []int{2, 4}
-
-// ConcRun records one (variant, depth, workers) machine execution of a
-// scenario. Workers is 1 for the sequential event-driven run.
+// ConcRun records one (variant, depth) event-driven machine execution of
+// a scenario.
 type ConcRun struct {
 	Variant Variant
 	Depth   int
-	Workers int
 	Cycles  int64
 	// Clock accounting of the event-driven run (the naive run is pure
-	// slow ticks by definition); EpochCycles is nonzero only for
-	// parallel runs.
+	// slow ticks by definition).
 	SlowTicks     int64
 	SkippedCycles int64
-	EpochCycles   int64
 }
 
 // ConcReport summarizes one CheckConcurrent pass over a scenario.
@@ -67,18 +59,15 @@ func concMachineConfig(threads, depth int) machine.Config {
 }
 
 // newConcMachine builds a machine for one lowering of cp at the given
-// hierarchy depth and worker count, with the scenario's initial
-// registers and memory.
-func newConcMachine(cp *ConcProgram, v Variant, prog *isa.Program, depth, workers int) (*machine.Machine, error) {
+// hierarchy depth, with the scenario's initial registers and memory.
+func newConcMachine(cp *ConcProgram, v Variant, prog *isa.Program, depth int) (*machine.Machine, error) {
 	threads := make([]machine.Thread, cp.NumThreads)
 	for t := range threads {
 		threads[t] = machine.Thread{Entry: ConcEntry(t), Regs: cp.Regs[t]}
 	}
-	cfg := concMachineConfig(cp.NumThreads, depth)
-	cfg.Parallel.Workers = workers
-	m, err := machine.New(cfg, prog, threads)
+	m, err := machine.New(concMachineConfig(cp.NumThreads, depth), prog, threads)
 	if err != nil {
-		return nil, fmt.Errorf("ref: machine for variant %v depth %d workers %d: %w", v, depth, workers, err)
+		return nil, fmt.Errorf("ref: machine for variant %v depth %d: %w", v, depth, err)
 	}
 	for addr, val := range cp.Mem {
 		m.Image().Store(addr, val)
@@ -238,11 +227,11 @@ func CheckConcurrent(seed int64, depths []int) (*ConcReport, error) {
 		for _, low := range lowerings {
 			v := low.v
 			label := fmt.Sprintf("seed %d variant %v depth %d", seed, v, depth)
-			mN, err := newConcMachine(cp, v, low.prog, depth, 1)
+			mN, err := newConcMachine(cp, v, low.prog, depth)
 			if err != nil {
 				return rep, err
 			}
-			mE, err := newConcMachine(cp, v, low.prog, depth, 1)
+			mE, err := newConcMachine(cp, v, low.prog, depth)
 			if err != nil {
 				return rep, err
 			}
@@ -266,41 +255,9 @@ func CheckConcurrent(seed int64, depths []int) (*ConcReport, error) {
 					label, cs.SlowTicks, cs.SkippedCycles, ec)
 			}
 			rep.Runs = append(rep.Runs, ConcRun{
-				Variant: v, Depth: depth, Workers: 1, Cycles: ec,
+				Variant: v, Depth: depth, Cycles: ec,
 				SlowTicks: cs.SlowTicks, SkippedCycles: cs.SkippedCycles,
 			})
-			// The optimistic-epoch parallel runner must reproduce the
-			// sequential run bit for bit at every worker count: epochs
-			// either commit exactly what per-cycle stepping would have
-			// produced, or abort without trace.
-			for _, w := range concWorkerCounts {
-				plabel := fmt.Sprintf("%s workers %d", label, w)
-				mP, err := newConcMachine(cp, v, low.prog, depth, w)
-				if err != nil {
-					return rep, err
-				}
-				pc, err := mP.Run(context.Background())
-				if err != nil {
-					return rep, fmt.Errorf("%s: parallel run: %w", plabel, err)
-				}
-				if err := bitIdentical(plabel, mE, mP, ec, pc); err != nil {
-					return rep, err
-				}
-				ps := mP.Clock()
-				if ps.SlowTicks+ps.SkippedCycles+ps.EpochCycles != pc {
-					return rep, fmt.Errorf("%s: clock accounting broken: %d slow + %d skipped + %d epoch != %d cycles",
-						plabel, ps.SlowTicks, ps.SkippedCycles, ps.EpochCycles, pc)
-				}
-				if ps.EpochFails > ps.Epochs {
-					return rep, fmt.Errorf("%s: more epoch failures (%d) than attempts (%d)",
-						plabel, ps.EpochFails, ps.Epochs)
-				}
-				rep.Runs = append(rep.Runs, ConcRun{
-					Variant: v, Depth: depth, Workers: w, Cycles: pc,
-					SlowTicks: ps.SlowTicks, SkippedCycles: ps.SkippedCycles,
-					EpochCycles: ps.EpochCycles,
-				})
-			}
 		}
 	}
 	return rep, nil

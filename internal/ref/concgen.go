@@ -122,8 +122,8 @@ const (
 // Wide scenarios: a seed with concWideSeedBit set generates
 // concWideMinThreads..concWideMaxThreads threads instead of the usual
 // 2..concMaxThreads, exercising the directory's many-sharer paths and
-// the parallel runner's worker partitioning on machines wider than a
-// typical fuzz draw. The bit lives far above the small integers the
+// the clock's per-core loops on machines wider than a typical fuzz
+// draw. The bit lives far above the small integers the
 // seed corpus uses, so every historical seed keeps generating exactly
 // the scenario its corpus filename describes.
 const (

@@ -211,12 +211,8 @@ type cacheKeyPayload struct {
 
 // Key returns the content address of one simulation: a hex SHA-256 of
 // the canonical JSON encoding of (schema, benchmark, options, config).
-// The parallel-runner knobs are excluded: simulated results are
-// bit-identical at every worker count, so a record produced at one
-// worker count must satisfy requests at any other.
 func Key(bench string, opts kernels.Options, cfg machine.Config) string {
 	h := sha256.New()
-	cfg.Parallel = machine.ParallelConfig{}
 	// Struct field order is fixed, so this encoding is canonical.
 	if err := json.NewEncoder(h).Encode(cacheKeyPayload{SchemaVersion, bench, opts, cfg}); err != nil {
 		panic("results: cache key encoding cannot fail: " + err.Error())

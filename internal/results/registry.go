@@ -299,32 +299,15 @@ func LookupExperiment(id string) (ExperimentSpec, error) {
 	return ExperimentSpec{}, &ErrUnknownExperiment{ID: id, Valid: ExperimentIDs()}
 }
 
-// renderSimPerf formats the simulator-performance report: the clock
-// comparison first, then the parallel-runner rows (if any).
+// renderSimPerf formats the simulator-performance report.
 func renderSimPerf(rep SimPerfReport) string {
 	var sb strings.Builder
 	sb.WriteString(simPerfTitle + "\n")
 	sb.WriteString(fmt.Sprintf("%-14s%-12s%12s%14s%14s%9s\n",
 		"bench", "mode", "simcycles", "naive cyc/s", "event cyc/s", "speedup"))
-	var par []SimPerfRow
 	for _, r := range rep.Rows {
-		if r.Workers > 0 {
-			par = append(par, r)
-			continue
-		}
 		sb.WriteString(fmt.Sprintf("%-14s%-12s%12d%14.0f%14.0f%8.2fx\n",
 			r.Bench, r.Mode, r.SimCycles, r.NaiveCyclesPerSec, r.EventCyclesPerSec, r.Speedup))
-	}
-	if len(par) > 0 {
-		sb.WriteString("\nParallel runner — sequential vs epoch-barriered wall clock (bit-identical results)\n")
-		sb.WriteString(fmt.Sprintf("%-14s%7s%9s%12s%12s%12s%9s%12s%8s\n",
-			"bench", "cores", "workers", "simcycles", "seq ms", "par ms", "speedup", "epochcyc", "fails"))
-		for _, r := range par {
-			sb.WriteString(fmt.Sprintf("%-14s%7d%9d%12d%12.1f%12.1f%8.2fx%12d%8d\n",
-				r.Bench, r.Cores, r.Workers, r.SimCycles,
-				float64(r.SeqNs)/1e6, float64(r.EventNs)/1e6, r.ParSpeedup,
-				r.EpochCycles, r.EpochFails))
-		}
 	}
 	return sb.String()
 }

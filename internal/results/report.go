@@ -373,11 +373,12 @@ func (s *Suite) ExperimentsMD() string {
 	sb.WriteString("The core-count sweep runs the scalable `scale` kernels (a balanced " +
 		"ring-synchronized variant and a straggler-imbalanced barrier variant) on 8-, 64-, " +
 		"and 256-core machines — the last far beyond the 64-core ceiling the old " +
-		"directory bitmask imposed. The simulated results are deterministic and " +
-		"worker-invariant: the parallel simulator core produces these exact rows at any " +
-		"worker count (the equivalence tests assert it bit-for-bit), so this artifact " +
-		"doubles as the byte-identity fixture for the parallel runner. Wall-clock " +
-		"measurements of the parallel runner itself live in `BENCH_SIMPERF.json`.\n\n")
+		"directory bitmask imposed. The simulated results are deterministic: the " +
+		"event-driven clock reproduces naive per-cycle stepping bit-for-bit on these " +
+		"kernels at 64, 65 and 256 cores (the clock-equivalence tests assert it), even " +
+		"though it parks the straggler variant's spinning cores through the barrier " +
+		"tail. Wall-clock measurements of the simulator itself live in " +
+		"`BENCH_SIMPERF.json`.\n\n")
 	section(kindTitles[KindHeatmap], exp.RenderHeatmap(s.Heatmap))
 	sb.WriteString("The heatmap breaks each benchmark's fence stall down per static fence site " +
 		"(the `FenceProfile` plumbing), showing *which* fences the scoped semantics rescue: " +

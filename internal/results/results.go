@@ -28,7 +28,10 @@ import (
 // v3: the cache key ignores machine.Config.Parallel (simulated results
 // are worker-invariant), new fig-cores and fig-heatmap artifacts, and
 // SimPerfRow grew the parallel-runner block (workers, wall-clock
-// speedup, epoch accounting).
+// speedup, epoch accounting). Deleting that runner removed the block
+// and the Parallel field again; records and envelopes only lost fields,
+// so the version stands, and old disk records simply miss on the
+// changed cache keys.
 const SchemaVersion = 3
 
 // Paper identifies the reproduced paper in every envelope.

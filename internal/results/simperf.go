@@ -48,20 +48,6 @@ type SimPerfRow struct {
 	// a confirmed busy-wait orbit, and the cycles those jumps covered.
 	SpinJumps         int64 `json:"spinJumps"`
 	SpinSkippedCycles int64 `json:"spinSkippedCycles"`
-
-	// Parallel-runner block (rows with Workers > 1): the same machine run
-	// sequentially (Workers=1) and under the epoch-barriered parallel
-	// runner, bit-identity asserted before the timings are recorded. For
-	// these rows NaiveNs/EventNs and the clock accounting above describe
-	// the PARALLEL run; SeqNs is the sequential wall clock it is compared
-	// against.
-	Workers     int     `json:"workers,omitempty"`
-	Cores       int     `json:"cores,omitempty"`
-	SeqNs       int64   `json:"seqNs,omitempty"`
-	ParSpeedup  float64 `json:"parSpeedup,omitempty"`
-	Epochs      int64   `json:"epochs,omitempty"`
-	EpochFails  int64   `json:"epochFails,omitempty"`
-	EpochCycles int64   `json:"epochCycles,omitempty"`
 }
 
 // SimPerfReport is the BENCH_SIMPERF.json payload.
@@ -123,17 +109,11 @@ func simPerfCases(sc exp.Scale) []simPerfCase {
 // buildMachine assembles a ready-to-run machine for one case on the
 // Table III configuration.
 func buildMachine(bench string, opts kernels.Options) (*kernels.Kernel, *machine.Machine, error) {
-	return buildMachineCfg(bench, opts, machine.DefaultConfig())
-}
-
-// buildMachineCfg assembles a ready-to-run machine on an explicit
-// configuration (the parallel rows vary Cores and Parallel.Workers).
-func buildMachineCfg(bench string, opts kernels.Options, cfg machine.Config) (*kernels.Kernel, *machine.Machine, error) {
 	k, err := kernels.Build(bench, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := machine.New(cfg, k.Program, k.Threads)
+	m, err := machine.New(machine.DefaultConfig(), k.Program, k.Threads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -231,112 +211,7 @@ func RunSimPerf(ctx context.Context, sc exp.Scale) (SimPerfReport, error) {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	if err := runParallelPerf(ctx, sc, &rep); err != nil {
-		return rep, err
-	}
 	return rep, nil
-}
-
-// simPerfParCase is one parallel-runner comparison: a wide machine run
-// sequentially and with an epoch-barriered worker pool.
-type simPerfParCase struct {
-	bench   string
-	cores   int
-	workers int
-}
-
-// simPerfParCases picks the parallel rows. The straggler kernel is the
-// representative multi-core-heavy workload: one slow thread keeps the
-// machine active while everyone else spins at the barrier, which is
-// exactly the shape the sequential clock cannot fast-forward (one active
-// core pins it) but per-core epochs can. The case list is deliberately
-// scale-invariant: the CI simperf smoke compares a -quick run's row set
-// against the committed artifact, so every row must exist at both
-// scales (only the wall-clock numbers differ).
-func simPerfParCases(sc exp.Scale) []simPerfParCase {
-	return []simPerfParCase{
-		{bench: "scale-imb", cores: 64, workers: 4},
-		{bench: "scale-imb", cores: 256, workers: 4},
-	}
-}
-
-// runParallelPerf appends the parallel-runner rows: sequential vs
-// epoch-barriered wall clock on wide machines, with bit-identity
-// (cycles, aggregate core stats, kernel verification) asserted first.
-func runParallelPerf(ctx context.Context, sc exp.Scale, rep *SimPerfReport) error {
-	for _, tc := range simPerfParCases(sc) {
-		opts := kernels.Options{Mode: kernels.Traditional, Threads: tc.cores, Ops: 2, Workload: 2}
-		cfg := machine.DefaultConfig()
-		cfg.Cores = tc.cores
-
-		kS, mS, err := buildMachineCfg(tc.bench, opts, cfg)
-		if err != nil {
-			return fmt.Errorf("results: simperf %s/%d: %w", tc.bench, tc.cores, err)
-		}
-		cfgP := cfg
-		cfgP.Parallel.Workers = tc.workers
-		_, mP, err := buildMachineCfg(tc.bench, opts, cfgP)
-		if err != nil {
-			return fmt.Errorf("results: simperf %s/%d: %w", tc.bench, tc.cores, err)
-		}
-
-		t0 := time.Now()
-		seqCycles, err := mS.Run(ctx)
-		seqNs := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return fmt.Errorf("results: simperf %s/%d (sequential): %w", tc.bench, tc.cores, err)
-		}
-		t0 = time.Now()
-		parCycles, err := mP.Run(ctx)
-		parNs := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return fmt.Errorf("results: simperf %s/%d (workers=%d): %w", tc.bench, tc.cores, tc.workers, err)
-		}
-
-		if seqCycles != parCycles {
-			return fmt.Errorf("results: simperf %s/%d: worker divergence: sequential %d cycles, workers=%d %d",
-				tc.bench, tc.cores, seqCycles, tc.workers, parCycles)
-		}
-		if ss, sp := mS.TotalStats(), mP.TotalStats(); ss != sp {
-			return fmt.Errorf("results: simperf %s/%d: worker divergence in core stats:\nsequential %+v\nparallel %+v",
-				tc.bench, tc.cores, ss, sp)
-		}
-		if kS.Verify != nil {
-			if err := kS.Verify(mP.Image()); err != nil {
-				return fmt.Errorf("results: simperf %s/%d: %w", tc.bench, tc.cores, err)
-			}
-		}
-
-		cs := mP.Clock()
-		row := SimPerfRow{
-			Bench:     tc.bench,
-			Mode:      opts.Mode.String(),
-			Threads:   tc.cores,
-			Ops:       opts.Ops,
-			Workload:  opts.Workload,
-			SimCycles: parCycles,
-			EventNs:   parNs,
-
-			SlowTicks:         cs.SlowTicks,
-			SkippedCycles:     cs.SkippedCycles,
-			Jumps:             cs.Jumps,
-			SpinJumps:         cs.SpinJumps,
-			SpinSkippedCycles: cs.SpinSkippedCycles,
-
-			Workers:     tc.workers,
-			Cores:       tc.cores,
-			SeqNs:       seqNs,
-			Epochs:      cs.Epochs,
-			EpochFails:  cs.EpochFails,
-			EpochCycles: cs.EpochCycles,
-		}
-		if parNs > 0 {
-			row.ParSpeedup = float64(seqNs) / float64(parNs)
-			row.EventCyclesPerSec = float64(parCycles) / (float64(parNs) / 1e9)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return nil
 }
 
 // SimPerfJSON renders the simulator-performance artifact.

@@ -27,10 +27,6 @@ type SuiteOptions struct {
 	Progress exp.ProgressFunc
 	// Parallelism bounds the session's worker pool (0 = GOMAXPROCS).
 	Parallelism int
-	// Workers, when > 1, runs each simulation on the epoch-barriered
-	// parallel machine runner. Results are bit-identical at any worker
-	// count (and the cache key ignores it), so artifacts are unaffected.
-	Workers int
 }
 
 // Suite holds every structured result of the paper's evaluation section
@@ -138,7 +134,7 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*Suite, error) {
 	if opts.Cache != nil {
 		before = opts.Cache.Stats()
 	}
-	session := exp.NewSession(counting, opts.Progress, opts.Parallelism).WithWorkers(opts.Workers)
+	session := exp.NewSession(counting, opts.Progress, opts.Parallelism)
 
 	s := &Suite{Scale: opts.Scale}
 	for _, spec := range Experiments() {

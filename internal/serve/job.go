@@ -30,11 +30,6 @@ type JobRequest struct {
 	Experiment string `json:"experiment"`
 	// Scale is "quick" or "full"; empty uses the server default.
 	Scale string `json:"scale,omitempty"`
-	// Workers runs each simulation on the epoch-barriered parallel
-	// machine runner with this many worker threads (results are
-	// bit-identical at any width). Negative values are rejected and
-	// values above the server's CPU count are clamped to it.
-	Workers int `json:"workers,omitempty"`
 	// Parallelism bounds the job's simulation worker pool
 	// (0 = GOMAXPROCS). Negative values are rejected and values above the
 	// server's CPU count are clamped to it.
@@ -249,7 +244,7 @@ func (s *Server) runJob(j *job) {
 		j.emit(ev)
 	}
 
-	session := exp.NewSession(runner, progress, j.req.Parallelism).WithWorkers(j.req.Workers)
+	session := exp.NewSession(runner, progress, j.req.Parallelism)
 	data, err := j.spec.Run(ctx, session, j.scale)
 	if err != nil {
 		switch {

@@ -17,7 +17,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs              submit  (202 + JobStatus; 413 for a body over 64 KiB; 503 when the queue is full or draining)
+//	POST   /v1/jobs              submit  (202 + JobStatus; 400 for an unknown field or bad value; 413 for a body over 64 KiB; 503 when the queue is full or draining)
 //	GET    /v1/jobs/{id}         status
 //	DELETE /v1/jobs/{id}         cancel (propagates into the cycle loop)
 //	GET    /v1/jobs/{id}/events  NDJSON event stream until the job is terminal
@@ -280,7 +280,12 @@ const maxSubmitBytes = 64 << 10
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	// Reject fields the server does not know, so a client that asks for
+	// an option the server lacks (such as "workers") is told so instead
+	// of getting a job that silently ignores it.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
@@ -294,16 +299,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	for _, f := range []struct {
-		name string
-		n    *int
-	}{{"workers", &req.Workers}, {"parallelism", &req.Parallelism}} {
-		if *f.n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s %d is negative", f.name, *f.n))
-			return
-		}
-		*f.n = min(*f.n, runtime.NumCPU())
+	if req.Parallelism < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("parallelism %d is negative", req.Parallelism))
+		return
 	}
+	req.Parallelism = min(req.Parallelism, runtime.NumCPU())
 	scale := s.opts.Scale
 	switch req.Scale {
 	case "":

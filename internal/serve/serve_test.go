@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -168,8 +169,8 @@ func TestServeExperimentsEndpoint(t *testing.T) {
 }
 
 // TestServeSubmitValidation exercises the 400 paths: unknown experiment
-// IDs, unknown scales and negative workers or parallelism are rejected at
-// submit with a real error body.
+// IDs, unknown scales and negative parallelism are rejected at submit
+// with a real error body.
 func TestServeSubmitValidation(t *testing.T) {
 	_, client := startServer(t, serve.Options{Scale: exp.Quick})
 	ctx := context.Background()
@@ -179,32 +180,26 @@ func TestServeSubmitValidation(t *testing.T) {
 	if _, err := client.Submit(ctx, serve.JobRequest{Experiment: "table4", Scale: "huge"}); err == nil || !strings.Contains(err.Error(), "unknown scale") {
 		t.Errorf("unknown scale: got %v, want unknown-scale error", err)
 	}
-	for field, req := range map[string]serve.JobRequest{
-		"workers":     {Experiment: "table4", Workers: -1},
-		"parallelism": {Experiment: "table4", Parallelism: -3},
-	} {
-		if _, err := client.Submit(ctx, req); err == nil || !strings.Contains(err.Error(), field+" ") || !strings.Contains(err.Error(), "HTTP 400") {
-			t.Errorf("negative %s: got %v, want an HTTP 400 naming the field", field, err)
-		}
+	if _, err := client.Submit(ctx, serve.JobRequest{Experiment: "table4", Parallelism: -3}); err == nil || !strings.Contains(err.Error(), "parallelism ") || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Errorf("negative parallelism: got %v, want an HTTP 400 naming the field", err)
 	}
 	if _, err := client.Status(ctx, "j999"); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Errorf("unknown job: got %v, want unknown-job error", err)
 	}
 }
 
-// TestServeSubmitClampsWidths submits a job asking for more simulation
-// workers and pool width than the host has CPUs: the job must run with
-// both clamped to runtime.NumCPU().
+// TestServeSubmitClampsWidths submits a job asking for a wider pool than
+// the host has CPUs: the job must run with it clamped to
+// runtime.NumCPU().
 func TestServeSubmitClampsWidths(t *testing.T) {
 	ncpu := runtime.NumCPU()
 	var mu sync.Mutex
-	inflight, maxInflight, maxWorkers := 0, 0, 0
+	inflight, maxInflight := 0, 0
 	wrap := func(next exp.Runner) exp.Runner {
 		return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
 			mu.Lock()
 			inflight++
 			maxInflight = max(maxInflight, inflight)
-			maxWorkers = max(maxWorkers, cfg.Parallel.Workers)
 			mu.Unlock()
 			defer func() {
 				mu.Lock()
@@ -216,7 +211,7 @@ func TestServeSubmitClampsWidths(t *testing.T) {
 	}
 	_, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap})
 	st, err := client.Submit(context.Background(), serve.JobRequest{
-		Experiment: simExperiment, Workers: ncpu + 7, Parallelism: ncpu + 7,
+		Experiment: simExperiment, Parallelism: ncpu + 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +219,6 @@ func TestServeSubmitClampsWidths(t *testing.T) {
 	waitState(t, client, st.ID, serve.StateDone)
 	mu.Lock()
 	defer mu.Unlock()
-	if maxWorkers > ncpu {
-		t.Errorf("simulations ran with %d workers, want at most NumCPU = %d", maxWorkers, ncpu)
-	}
 	if maxInflight > ncpu {
 		t.Errorf("%d simulations ran at once, want at most NumCPU = %d", maxInflight, ncpu)
 	}
@@ -643,11 +635,12 @@ func TestServeFenceStallShareExact(t *testing.T) {
 	}
 }
 
-// TestServeOversizedSubmit posts a body over the 64 KiB submit limit: the
-// server must answer 413 with a message and register no job.
-func TestServeOversizedSubmit(t *testing.T) {
+// submitRejected posts body to a fresh server and checks that it is
+// refused with the wanted status and an error message containing want,
+// and that no job was registered.
+func submitRejected(t *testing.T, body string, status int, want string) {
+	t.Helper()
 	srv, client := startServer(t, serve.Options{Scale: exp.Quick})
-	body := `{"experiment":"table4","scale":"` + strings.Repeat("x", 80<<10) + `"}`
 	resp, err := http.Post(client.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -657,15 +650,52 @@ func TestServeOversizedSubmit(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg["error"], "exceeds") {
-		t.Fatalf("oversized submit: HTTP %d %v, want 413 with a size message", resp.StatusCode, msg)
+	if resp.StatusCode != status || !strings.Contains(msg["error"], want) {
+		t.Fatalf("submit: HTTP %d %v, want %d with an error naming %q", resp.StatusCode, msg, status, want)
 	}
 	if n := srv.StatsRegistry().Snapshot().UValue("serve.jobs.submitted"); n != 0 {
-		t.Errorf("serve.jobs.submitted = %d after an oversized submit, want 0", n)
+		t.Errorf("serve.jobs.submitted = %d after a rejected submit, want 0", n)
 	}
 	if _, err := client.Status(context.Background(), "j1"); err == nil || !strings.Contains(err.Error(), "unknown job") {
-		t.Errorf("oversized submit registered a job: status err %v", err)
+		t.Errorf("rejected submit registered a job: status err %v", err)
 	}
+}
+
+// TestServeOversizedSubmit posts a body over the 64 KiB submit limit: the
+// server must answer 413 with a message and register no job.
+func TestServeOversizedSubmit(t *testing.T) {
+	body := `{"experiment":"table4","scale":"` + strings.Repeat("x", 80<<10) + `"}`
+	submitRejected(t, body, http.StatusRequestEntityTooLarge, "exceeds")
+}
+
+// TestServeUnknownFieldSubmit posts the removed "workers" field: the
+// server must answer 400 naming the field, not run the job without it.
+func TestServeUnknownFieldSubmit(t *testing.T) {
+	submitRejected(t, `{"experiment":"table4","workers":2}`, http.StatusBadRequest, `"workers"`)
+}
+
+// FuzzSubmit feeds arbitrary bodies to POST /v1/jobs. Whatever the body,
+// the handler must not panic and must answer 202, 400, 413 or 503. Each
+// input gets a fresh server whose runner blocks until the server closes,
+// so no simulation runs.
+func FuzzSubmit(f *testing.F) {
+	f.Add([]byte(`{"experiment":"table4","scale":"quick"}`))
+	f.Add([]byte(`{"experiment":"table4","workers":2}`))
+	f.Add([]byte(`{"experiment":"table4","scale":"` + strings.Repeat("x", 80<<10) + `"}`))
+	f.Add([]byte(`{"experiment":"table4","parallelism":-1}`))
+	f.Add([]byte(`{"experiment":`))
+	wrap, _ := gatedRunner(nil)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		srv := serve.NewServer(serve.Options{Scale: exp.Quick, Workers: 1, QueueDepth: 1, WrapRunner: wrap})
+		defer srv.Close()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("submit %q: HTTP %d %s", body, rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestServePanicIsolation injects a panic into a job's runner, which runs

@@ -36,7 +36,6 @@ type Lab struct {
 	runner      ExperimentRunner
 	progress    ExperimentProgress
 	parallelism int
-	workers     int
 
 	session *exp.Session
 }
@@ -60,16 +59,6 @@ func WithProgress(p ExperimentProgress) LabOption { return func(l *Lab) { l.prog
 // cannot change any result — only wall-clock time.
 func WithParallelism(n int) LabOption { return func(l *Lab) { l.parallelism = n } }
 
-// WithWorkers runs each simulation on the epoch-barriered parallel
-// machine runner with n worker threads (n <= 1 keeps the sequential
-// loop; experiments that set cfg.Parallel explicitly still win). The
-// parallel runner is bit-identical to the sequential one, so this —
-// like WithParallelism — only changes wall-clock time. The two compose:
-// Parallelism spreads independent simulations across the pool, Workers
-// parallelizes inside each wide machine, which pays off when a single
-// many-core simulation dominates the schedule.
-func WithWorkers(n int) LabOption { return func(l *Lab) { l.workers = n } }
-
 // WithRunner overrides how the Lab executes simulations, taking
 // precedence over WithCache. This is the session-scoped replacement for
 // the long-gone global runner hook.
@@ -88,7 +77,7 @@ func NewLab(opts ...LabOption) *Lab {
 	if l.runner == nil && l.cache != nil {
 		l.runner = l.cache.Run
 	}
-	l.session = exp.NewSession(l.runner, l.progress, l.parallelism).WithWorkers(l.workers)
+	l.session = exp.NewSession(l.runner, l.progress, l.parallelism)
 	return l
 }
 
@@ -130,7 +119,6 @@ func (l *Lab) RunSuite(ctx context.Context) (*Suite, error) {
 		Runner:      l.runner,
 		Progress:    l.progress,
 		Parallelism: l.parallelism,
-		Workers:     l.workers,
 	})
 }
 
