@@ -1,18 +1,20 @@
-// Differential test of the optimistic-epoch parallel runner: every
-// Table IV kernel and every litmus configuration is simulated with the
-// sequential two-speed clock (Workers=1, the reference) and with
-// Workers=2 and Workers=4, and the runs must be bit-identical — same
-// final cycle, same registers, same memory image, same full stats
-// registry outside machine.clock.*. This is the safety proof the
-// parallel core rests on: an epoch either commits exactly what
-// per-cycle stepping would have produced, or aborts without trace.
-// Run it under -race to also certify the epoch workers share nothing
-// they should not.
+// Differential test of concurrent simulation: the experiment session's
+// worker pool and sfence-serve's job pool run many independent machines
+// at once in one process, on the promise that the pool width cannot
+// change any result. Every Table IV kernel and every litmus
+// configuration is simulated alone (the reference) and then as several
+// copies built and run at the same time on their own goroutines, and
+// every copy must be bit-identical to the reference — same final cycle,
+// same registers, same memory image, same full stats registry, same
+// clock accounting. Run it under -race to also certify that machines
+// share no mutable state (kernel builders, programs, memory pages,
+// stats registries).
 package sfence_test
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"sfence/internal/cpu"
@@ -23,41 +25,77 @@ import (
 	"sfence/internal/memsys"
 )
 
-// parallelWorkerCounts are the worker counts differenced against the
-// sequential reference.
-var parallelWorkerCounts = []int{2, 4}
+// concurrentCopies is how many copies of each configuration are
+// simulated at the same time against the solo reference.
+const concurrentCopies = 2
 
-// runWorkers builds and runs one kernel machine with the given worker
-// count, returning the machine and its final cycle.
-func runWorkers(t *testing.T, bench string, opts kernels.Options, cfg machine.Config, workers int) (*machine.Machine, int64) {
+// runConcurrently builds and runs n machines at once, one goroutine per
+// machine, and returns them with their final cycles. newMachine gets the
+// copy's index and is called on that copy's goroutine, so builders are
+// exercised concurrently too.
+func runConcurrently(t *testing.T, n int, newMachine func(i int) (*machine.Machine, error)) ([]*machine.Machine, []int64) {
 	t.Helper()
-	cfg.Parallel.Workers = workers
-	_, m := buildKernelMachine(t, bench, opts, cfg)
-	cyc, err := m.Run(context.Background())
+	ms := make([]*machine.Machine, n)
+	cycles := make([]int64, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := newMachine(i)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			ms[i] = m
+			cycles[i], errs[i] = m.Run(context.Background())
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent copy %d: %v", i, err)
+		}
+	}
+	return ms, cycles
+}
+
+// checkConcurrentCopies runs one configuration alone and then as
+// concurrentCopies simultaneous copies, and requires every copy to match
+// the solo run exactly, clock accounting included.
+func checkConcurrentCopies(t *testing.T, name string, newMachine func() (*machine.Machine, error)) {
+	t.Helper()
+	refs, refCycles := runConcurrently(t, 1, func(int) (*machine.Machine, error) { return newMachine() })
+	ref, refCyc := refs[0], refCycles[0]
+	ms, cycles := runConcurrently(t, concurrentCopies, func(int) (*machine.Machine, error) { return newMachine() })
+	for i, m := range ms {
+		copyName := fmt.Sprintf("%s/copy=%d", name, i)
+		assertMachinesEqual(t, copyName, ref, m, refCyc, cycles[i])
+		if rc, mc := ref.Clock(), m.Clock(); rc != mc {
+			t.Errorf("%s: clock accounting diverged: solo %+v, concurrent %+v", copyName, rc, mc)
+		}
+	}
+}
+
+// newKernelMachine builds one kernel machine without a *testing.T, so it
+// can run on a copy's goroutine.
+func newKernelMachine(bench string, opts kernels.Options, cfg machine.Config) (*machine.Machine, error) {
+	k, err := kernels.Build(bench, opts)
 	if err != nil {
-		t.Fatalf("run (workers=%d): %v", workers, err)
+		return nil, fmt.Errorf("build %s: %w", bench, err)
 	}
-	return m, cyc
+	m, err := machine.New(cfg, k.Program, k.Threads)
+	if err != nil {
+		return nil, fmt.Errorf("machine for %s: %w", bench, err)
+	}
+	k.LoadImage(m.Image())
+	return m, nil
 }
 
-// assertParallelClock checks the parallel runner's extended cycle
-// identity: slow ticks, fast-forwarded cycles, and epoch-committed
-// cycles partition the run.
-func assertParallelClock(t *testing.T, m *machine.Machine, cycles int64) {
-	t.Helper()
-	cs := m.Clock()
-	if cs.SlowTicks+cs.SkippedCycles+cs.EpochCycles != cycles {
-		t.Errorf("clock accounting broken: %d slow + %d skipped + %d epoch != %d cycles (%+v)",
-			cs.SlowTicks, cs.SkippedCycles, cs.EpochCycles, cycles, cs)
-	}
-	if cs.EpochFails > cs.Epochs {
-		t.Errorf("more epoch failures than attempts: %+v", cs)
-	}
-}
-
-// TestParallelEquivalenceKernels differences Workers=2,4 against the
-// sequential runner for every Table IV kernel under traditional and
-// scoped fences, with and without in-window speculation.
+// TestParallelEquivalenceKernels runs every Table IV kernel concurrently
+// against its solo run under traditional and scoped fences, with and
+// without in-window speculation.
 func TestParallelEquivalenceKernels(t *testing.T) {
 	benches := []string{"dekker", "wsq", "msn", "harris", "barnes", "radiosity", "pst", "ptc", "nested-scope", "fence-drain"}
 	for _, bench := range benches {
@@ -68,12 +106,9 @@ func TestParallelEquivalenceKernels(t *testing.T) {
 					opts := kernels.Options{Mode: mode, Ops: quickOps[bench], Workload: 2}
 					cfg := machine.DefaultConfig()
 					cfg.Core.InWindowSpec = spec
-					mSeq, seqCyc := runWorkers(t, bench, opts, cfg, 1)
-					for _, w := range parallelWorkerCounts {
-						mPar, parCyc := runWorkers(t, bench, opts, cfg, w)
-						assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-						assertParallelClock(t, mPar, parCyc)
-					}
+					checkConcurrentCopies(t, name, func() (*machine.Machine, error) {
+						return newKernelMachine(bench, opts, cfg)
+					})
 				})
 			}
 		}
@@ -81,8 +116,8 @@ func TestParallelEquivalenceKernels(t *testing.T) {
 }
 
 // TestParallelEquivalenceDepth3 re-runs the kernel differential on a
-// three-level hierarchy, where hazard scans see middle private banks
-// and different latency structure.
+// three-level hierarchy, whose middle private banks are further
+// per-machine state that concurrent copies must not share.
 func TestParallelEquivalenceDepth3(t *testing.T) {
 	for _, info := range kernels.All() {
 		bench := info.Name
@@ -92,21 +127,18 @@ func TestParallelEquivalenceDepth3(t *testing.T) {
 				opts := kernels.Options{Mode: mode, Ops: quickOps[bench], Workload: 2}
 				cfg := machine.DefaultConfig()
 				cfg.Mem = memsys.DepthConfig(3)
-				mSeq, seqCyc := runWorkers(t, bench, opts, cfg, 1)
-				for _, w := range parallelWorkerCounts {
-					mPar, parCyc := runWorkers(t, bench, opts, cfg, w)
-					assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-					assertParallelClock(t, mPar, parCyc)
-				}
+				checkConcurrentCopies(t, name, func() (*machine.Machine, error) {
+					return newKernelMachine(bench, opts, cfg)
+				})
 			})
 		}
 	}
 }
 
-// TestParallelEquivalenceLitmus differences every litmus test and
-// machine configuration across worker counts. Litmus programs are
-// all-interaction, so these runs mostly exercise the abort path — every
-// epoch must vanish without trace.
+// TestParallelEquivalenceLitmus runs every litmus test and machine
+// configuration concurrently against its solo run. The copies share one
+// *isa.Program, so this also pins that a machine never writes to the
+// program it executes.
 func TestParallelEquivalenceLitmus(t *testing.T) {
 	tests := []*litmus.Test{
 		litmus.StoreBuffering(false, isa.ScopeGlobal),
@@ -140,45 +172,23 @@ func TestParallelEquivalenceLitmus(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := litmus.DefaultMachineConfig()
 				tweak(&cfg)
-				run := func(workers int) (*machine.Machine, int64) {
-					c := cfg
-					c.Parallel.Workers = workers
-					m, err := machine.New(c, lt.Program, lt.Threads)
-					if err != nil {
-						t.Fatalf("machine: %v", err)
-					}
-					cyc, err := m.Run(context.Background())
-					if err != nil {
-						t.Fatalf("run (workers=%d): %v", workers, err)
-					}
-					return m, cyc
-				}
-				mSeq, seqCyc := run(1)
-				for _, w := range parallelWorkerCounts {
-					mPar, parCyc := run(w)
-					assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-					assertParallelClock(t, mPar, parCyc)
-				}
+				checkConcurrentCopies(t, name, func() (*machine.Machine, error) {
+					return machine.New(cfg, lt.Program, lt.Threads)
+				})
 			})
 		}
 	}
 }
 
-// TestParallelEquivalenceManyCore differences the scale kernels on wide
-// machines — 65 cores (first paged-sharer configuration past the inline
-// bitmask) and 256 cores — and additionally requires that the epoch
-// machinery actually engaged: the scale kernels' long private compute
-// phases are exactly the traffic optimistic epochs exist to commit, so a
-// run that never commits an epoch means the parallel core silently
-// degraded to sequential stepping.
+// TestParallelEquivalenceManyCore runs the scale kernels concurrently on
+// wide machines — 65 cores (the first paged sharer set past the inline
+// bitmask) and 256 cores — where each copy pages its own sharer sets and
+// parks its own barrier spinners.
 func TestParallelEquivalenceManyCore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("many-core differential is slow")
-	}
 	for _, tc := range []struct {
 		bench    string
 		cores    int
-		workload int // scale's balanced ring needs longer compute phases than the straggler variant
+		workload int
 	}{
 		{"scale", 65, 4},
 		{"scale-imb", 65, 1},
@@ -191,42 +201,43 @@ func TestParallelEquivalenceManyCore(t *testing.T) {
 				opts := kernels.Options{Mode: mode, Threads: tc.cores, Ops: 2, Workload: tc.workload}
 				cfg := machine.DefaultConfig()
 				cfg.Cores = tc.cores
-				mSeq, seqCyc := runWorkers(t, tc.bench, opts, cfg, 1)
-				for _, w := range parallelWorkerCounts {
-					mPar, parCyc := runWorkers(t, tc.bench, opts, cfg, w)
-					assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-					assertParallelClock(t, mPar, parCyc)
-					cs := mPar.Clock()
-					if cs.Epochs == cs.EpochFails {
-						t.Errorf("no epoch ever committed on %s (workers=%d): %+v", name, w, cs)
-					}
-					if cs.EpochCycles == 0 {
-						t.Errorf("epochs committed zero cycles on %s (workers=%d): %+v", name, w, cs)
-					}
-				}
+				checkConcurrentCopies(t, name, func() (*machine.Machine, error) {
+					return newKernelMachine(tc.bench, opts, cfg)
+				})
 			})
 		}
 	}
 }
 
-// TestParallelTracedFallsBack pins the sequential fallback: a traced
-// machine must never attempt an epoch, whatever Workers says.
+// TestParallelTracedFallsBack pins that tracer pinning is per machine: of
+// concurrent copies, the traced one falls back to stepping every cycle
+// while its untraced siblings still fast-forward, and all of them end in
+// the same simulated state.
 func TestParallelTracedFallsBack(t *testing.T) {
+	opts := kernels.Options{Mode: kernels.Traditional, Ops: 20}
 	cfg := machine.DefaultConfig()
-	cfg.Parallel.Workers = 4
-	_, m := buildKernelMachine(t, "fence-drain",
-		kernels.Options{Mode: kernels.Traditional, Ops: 20}, cfg)
-	for i := 0; i < m.Cores(); i++ {
-		m.Core(i).SetTracer(countingTracer{})
+	const traced = 0
+	ms, cycles := runConcurrently(t, concurrentCopies+1, func(i int) (*machine.Machine, error) {
+		m, err := newKernelMachine("fence-drain", opts, cfg)
+		if err == nil && i == traced {
+			for c := 0; c < m.Cores(); c++ {
+				m.Core(c).SetTracer(countingTracer{})
+			}
+		}
+		return m, err
+	})
+	ts := ms[traced].Clock()
+	if !ts.TracerPinned || ts.Jumps != 0 || ts.SlowTicks != cycles[traced] {
+		t.Fatalf("traced copy did not fall back to the slow path: %+v over %d cycles", ts, cycles[traced])
 	}
-	if _, err := m.Run(context.Background()); err != nil {
-		t.Fatalf("traced run: %v", err)
-	}
-	cs := m.Clock()
-	if cs.Epochs != 0 {
-		t.Fatalf("traced machine attempted epochs: %+v", cs)
-	}
-	if !cs.TracerPinned {
-		t.Fatalf("traced fallback did not pin: %+v", cs)
+	for i, m := range ms {
+		if i == traced {
+			continue
+		}
+		name := fmt.Sprintf("fence-drain/copy=%d", i)
+		assertMachinesEqual(t, name, ms[traced], m, cycles[traced], cycles[i])
+		if cs := m.Clock(); cs.TracerPinned || cs.Jumps == 0 {
+			t.Errorf("%s: untraced sibling of a traced machine did not fast-forward: %+v", name, cs)
+		}
 	}
 }
