@@ -1,6 +1,8 @@
 // Golden determinism test: a committed checksum of (final cycles, retired
 // instructions, fence idle cycles) for every Table IV kernel at Quick
-// scale — on the Table III default machine AND a depth-3 hierarchy — plus
+// scale — on the Table III default machine, a depth-3 hierarchy, and the
+// default machine with in-window speculation (the Fig 13 T+/S+ paths:
+// loads past unretired fences and their snoop-replay squashes) — plus
 // (cycles, outcome) for every litmus test on its default configuration.
 // The simulator is fully deterministic, so these numbers must never move
 // unless the timing model itself is deliberately changed — any accidental
@@ -47,8 +49,9 @@ type litmusRecord struct {
 }
 
 // goldenFile is the committed golden schema: per-kernel records keyed
-// bench -> mode (default machine) and bench -> mode@depth3 (three-level
-// hierarchy), plus per-litmus-test records keyed by test name.
+// bench -> mode (default machine), bench -> mode@depth3 (three-level
+// hierarchy) and bench -> mode+spec (in-window speculation), plus
+// per-litmus-test records keyed by test name.
 type goldenFile struct {
 	Kernels map[string]map[string]goldenRecord `json:"kernels"`
 	Litmus  map[string]litmusRecord            `json:"litmus"`
@@ -103,6 +106,7 @@ func measureGolden(t *testing.T) goldenFile {
 	configs := map[string]sfence.Config{
 		"":        sfence.DefaultConfig(),
 		"@depth3": func() sfence.Config { c := sfence.DefaultConfig(); c.Mem = sfence.DepthMemConfig(3); return c }(),
+		"+spec":   func() sfence.Config { c := sfence.DefaultConfig(); c.Core.InWindowSpec = true; return c }(),
 	}
 	for key, opts := range goldenCases() {
 		bench := key[:len(key)-len("/"+opts.Mode.String())]
