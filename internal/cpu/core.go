@@ -94,7 +94,6 @@ type Core struct {
 	robIncompleteMem int // loads/CAS in ROB not yet completed
 	robStoreCount    int // stores still in ROB
 	specLoads        int // in-flight loads with specPastFence set
-	casWaiting       int // CAS entries still waiting to execute
 
 	// donePrefix is the completion cursor: every entry in [head,
 	// donePrefix) is stDone and only awaits retirement, so completeROB and
@@ -110,18 +109,6 @@ type Core struct {
 	nextComplete int64
 	nextSBDrain  int64
 
-	// schedDirty records whether anything since the last schedule scan
-	// could have structurally unblocked a waiting entry (a store or CAS
-	// completion, a store-buffer drain, a decode, a squash, or the head
-	// reaching a waiting CAS). A schedule pass reaches a fixed point over
-	// its own mutations — entries only wait on older producers, and the
-	// scan is ascending — so while schedDirty is false a full scan would
-	// start nothing. Plain operand readiness does not raise the flag:
-	// completions wake their registered consumers individually (wakeHead/
-	// wakeNext/readyBits below) and schedule runs a partial scan over the
-	// marked slots only.
-	schedDirty bool
-
 	// Producer->consumer wakeup lists: wakeHead[p] heads an intrusive
 	// singly-linked list of registration nodes for the producer in slot p;
 	// node id s*3+k is consumer slot s's registration for operand k, with
@@ -129,10 +116,17 @@ type Core struct {
 	// each not-yet-done producer operand, and removed exactly once — when
 	// the producer completes (fireWakes) or on squash (lists are wiped and
 	// surviving waiting entries re-registered) — so no node can sit in two
-	// lists. readyBits marks woken consumer slots for the partial scan.
-	wakeHead    []int32
-	wakeNext    []int32
+	// lists.
+	wakeHead []int32
+	wakeNext []int32
+	// readyBits marks the slots schedule must try, one bit per slot, and
+	// wakePending says whether any is marked. memWait marks the waiting
+	// loads whose address is resolved: olderStoreBlocks held them back,
+	// so only an older store or CAS resolving its address or completing
+	// can start them. Bits of slots outside the window are stale and
+	// ignored; decode clears a reused slot's memWait bit. See sched.go.
 	readyBits   []uint64
+	memWait     []uint64
 	wakePending bool
 
 	// completion min-heap, ordered by (readyAt, seq): every execution
@@ -202,11 +196,11 @@ func NewCore(id int, cfg Config, prog *isa.Program, startPC int, initRegs map[is
 
 		nextComplete: NeverWakes,
 		nextSBDrain:  NeverWakes,
-		schedDirty:   true,
 
 		wakeHead:  make([]int32, cfg.ROBSize),
 		wakeNext:  make([]int32, 3*cfg.ROBSize),
 		readyBits: make([]uint64, (cfg.ROBSize+63)/64),
+		memWait:   make([]uint64, (cfg.ROBSize+63)/64),
 		compHeap:  make([]compNode, 0, cfg.ROBSize),
 	}
 	for i := range c.wakeHead {
@@ -386,13 +380,7 @@ func (c *Core) completeSB() {
 		if e.inflight && e.readyAt <= c.cycle {
 			c.progressed = true
 			c.spin.events++ // the Image mutates: never inside a stable spin
-			if c.casWaiting > 0 {
-				// Draining a store can unblock a waiting same-address
-				// CAS; nothing else in the scheduler reads the buffer in
-				// a way a removal can unblock (a load that could forward
-				// from the drained entry had already started).
-				c.schedDirty = true
-			}
+			c.wakeHeadCAS()
 			if c.OnStoreComplete != nil {
 				// Announce before the word changes: a core the machine
 				// has parked in a spin is caught up against the old value.
@@ -494,9 +482,9 @@ func (c *Core) completeROB() {
 			batch = append(batch, n)
 		}
 	}
-	// Process same-cycle completions in ascending seq order, exactly like
-	// the full scan this replaces. Pops already arrive seq-sorted except
-	// when a zero-latency access left a node dated before this cycle.
+	// Process same-cycle completions in ascending seq order, as a window
+	// scan would. Pops already arrive seq-sorted except when a
+	// zero-latency access left a node dated before this cycle.
 	for i := 1; i < len(batch); i++ {
 		for j := i; j > 0 && batch[j-1].seq > batch[j].seq; j-- {
 			batch[j-1], batch[j] = batch[j], batch[j-1]
@@ -529,16 +517,11 @@ func (c *Core) completeROB() {
 			c.robIncompleteMem--
 			c.decBits(c.scope.robCnt, e.fsb)
 			c.decBits(c.scope.robLoadCnt, e.fsb)
-			// A completed CAS unblocks younger same-address loads (they
-			// now read memory), beyond its registered operand consumers.
-			c.schedDirty = true
+			c.wakeMemWaiters() // same-address loads now read memory
 		default:
 			e.stage = stDone
 			if e.inst.Op == isa.OpStore {
-				// A completed store becomes a forwarding source and
-				// unblocks younger same-address loads: structural, so a
-				// full scan is needed, not just operand wakeups.
-				c.schedDirty = true
+				c.wakeMemWaiters() // same-address loads may now forward
 			}
 		}
 		c.fireWakes(n.seq)
@@ -556,16 +539,8 @@ func (c *Core) completeROB() {
 func (c *Core) retire() {
 	h0 := c.head
 	c.retireInsts()
-	// Retirement feeds the scheduler only through the head seq: a CAS
-	// executes only from the ROB head, so reaching a waiting CAS demands a
-	// scan. (Everything else retirement touches — the store buffer gains
-	// an entry, registers and rename tags update — either only blocks
-	// younger entries or is already covered: a retiring producer completed
-	// earlier and woke its consumers then.)
-	if c.head != h0 && c.head < c.tail {
-		if e := c.slot(c.head); e.stage == stWaiting && e.inst.Op == isa.OpCAS {
-			c.schedDirty = true
-		}
+	if c.head != h0 {
+		c.wakeHeadCAS()
 	}
 }
 
@@ -686,38 +661,38 @@ func (c *Core) fenceMayRetire(e *robEntry) bool {
 
 // --- execution scheduling ---
 
+// schedule tries the marked slots in ascending seq order. Every event that
+// can unblock a waiting entry marks it (see sched.go), so the unmarked
+// waiting entries would start nothing and are not visited.
 func (c *Core) schedule() {
-	// Two-level scan. A structural event (schedDirty) forces a full
-	// ascending pass; plain operand completions only wake their registered
-	// consumers, and the pass visits just the marked slots. Start
-	// conditions depend only on producer stages, resolved addresses, the
-	// head seq, and store-buffer contents — never on the clock — and every
-	// mutation of those either sets schedDirty, fires a wakeup, or is the
-	// in-pass address resolution escalated below, so a skipped or partial
-	// pass starts exactly what a full pass would.
-	full := c.schedDirty
-	if !full && !c.wakePending {
+	if !c.wakePending {
 		return
 	}
-	c.schedDirty = false
-	c.wakePending = false
-	start := c.scanStart()
-	if full {
-		c.scheduleAll(start)
-	} else {
-		c.scheduleMarked(start)
+	from := c.scanStart()
+	size := uint64(len(c.entries))
+	for seq := from; seq < c.tail; {
+		// Re-read the word on every step: a try can mark younger slots.
+		s := seq & c.robMask
+		word := c.readyBits[s>>6] >> (s & 63)
+		if word == 0 {
+			seq += min(64-(s&63), size-s) // to the next word or the wrap
+			continue
+		}
+		seq += uint64(bits.TrailingZeros64(word))
+		if seq < c.tail {
+			c.tryEntry(seq)
+		}
+		seq++
 	}
 	clear(c.readyBits)
+	c.wakePending = false
 }
 
-// tryEntry attempts to start the entry at seq if it is still waiting. It
-// reports whether the pass must escalate to trying every younger entry: a
-// store or CAS address resolved in-pass can unblock any younger load, and
-// a full ascending pass would propagate that within the same cycle.
-func (c *Core) tryEntry(seq uint64) bool {
+// tryEntry attempts to start the entry at seq if it is still waiting.
+func (c *Core) tryEntry(seq uint64) {
 	e := &c.entries[seq&c.robMask]
 	if e.stage != stWaiting {
-		return false
+		return
 	}
 	wasAddrOK := e.addrOK
 	switch e.inst.Op {
@@ -735,65 +710,10 @@ func (c *Core) tryEntry(seq uint64) bool {
 	if c.tracer != nil && seq < c.tail && e.stage == stExecuting {
 		c.trace(TraceExecute, seq, e.inst, e.readyAt)
 	}
-	if !wasAddrOK && e.addrOK {
-		switch e.inst.Op {
-		case isa.OpStore, isa.OpCAS:
-			return true
-		}
-	}
-	return false
-}
-
-// scheduleAll is the full ascending pass over [from, tail).
-func (c *Core) scheduleAll(from uint64) {
-	for seq := from; seq < c.tail; seq++ {
-		c.tryEntry(seq)
-	}
-}
-
-// scheduleMarked visits only the slots marked by fireWakes, in ascending
-// seq order. The window may wrap the slot array, giving up to two
-// contiguous slot segments; bits are extracted per word. An in-pass
-// address resolution escalates to the full pass from that point on.
-func (c *Core) scheduleMarked(from uint64) {
-	size := uint64(len(c.entries))
-	s0 := from & c.robMask
-	n := c.tail - from
-	segLen := [2]uint64{n, 0}
-	if s0+n > size {
-		segLen[0] = size - s0
-		segLen[1] = n - segLen[0]
-	}
-	segSlot := [2]uint64{s0, 0}
-	segSeq := [2]uint64{from, from + segLen[0]}
-	for g := 0; g < 2; g++ {
-		lo, ln := segSlot[g], segLen[g]
-		if ln == 0 {
-			continue
-		}
-		hi := lo + ln // exclusive slot bound
-		for w := lo >> 6; w<<6 < hi; w++ {
-			word := c.readyBits[w]
-			base := w << 6
-			if base < lo {
-				word &= ^uint64(0) << (lo - base)
-			}
-			if base+64 > hi {
-				word &= ^uint64(0) >> (base + 64 - hi)
-			}
-			for word != 0 {
-				slot := base + uint64(bits.TrailingZeros64(word))
-				word &= word - 1
-				seq := segSeq[g] + (slot - lo)
-				if seq >= c.tail {
-					return // a squash in this pass cut the window short
-				}
-				if c.tryEntry(seq) {
-					c.scheduleAll(seq + 1)
-					return
-				}
-			}
-		}
+	if !wasAddrOK && e.addrOK && e.inst.Op != isa.OpLoad {
+		// A store or CAS address: younger blocked loads may pass it now,
+		// and the pass reaches them after this slot.
+		c.wakeMemWaiters()
 	}
 }
 
@@ -957,9 +877,12 @@ func (c *Core) tryStartLoad(e *robEntry, seq uint64) {
 		c.progressed = true
 	}
 	blocked, forward, fval := c.olderStoreBlocks(seq, e.addr)
+	s := seq & c.robMask
 	if blocked {
+		c.memWait[s>>6] |= 1 << (s & 63)
 		return
 	}
+	c.memWait[s>>6] &^= 1 << (s & 63)
 	if forward {
 		e.val = fval
 		e.stage = stExecuting
@@ -1041,7 +964,6 @@ func (c *Core) tryStartCAS(e *robEntry, seq uint64) {
 	c.spinWatch(e.addr)
 	e.stage = stExecuting
 	e.readyAt = c.cycle + int64(lat)
-	c.casWaiting--
 	c.noteExec(seq, e.readyAt)
 }
 
@@ -1052,7 +974,6 @@ func (c *Core) squash(fromSeq uint64) {
 		return
 	}
 	c.progressed = true
-	c.schedDirty = true
 	c.spin.events++
 	// Restore the fence scope stack to its state before fromSeq decoded.
 	switch c.cfg.Recovery {
@@ -1070,9 +991,6 @@ func (c *Core) squash(fromSeq uint64) {
 				c.robIncompleteMem--
 				c.decBits(c.scope.robCnt, e.fsb)
 				c.decBits(c.scope.robLoadCnt, e.fsb)
-				if e.inst.Op == isa.OpCAS && e.stage == stWaiting {
-					c.casWaiting--
-				}
 			}
 			if e.specPastFence {
 				c.specLoads--
@@ -1208,12 +1126,12 @@ func (c *Core) fetch() {
 		*e = robEntry{inst: in, pc: pc, src1: -1, src2: -1, src3: -1}
 		e.snap = c.scope.snapshot()
 		c.progressed = true
-		// A fresh entry needs exactly one scheduling try; marking its slot
-		// (rather than raising schedDirty) keeps the pass partial. Decode
-		// changes nothing about older entries.
+		// A fresh entry needs one scheduling try; decode changes nothing
+		// about older entries. The slot may still hold a squashed load's
+		// memWait bit.
 		s := seq & c.robMask
-		c.readyBits[s>>6] |= 1 << (s & 63)
-		c.wakePending = true
+		c.memWait[s>>6] &^= 1 << (s & 63)
+		c.mark(seq)
 		c.trace(TraceDecode, seq, in, int64(pc))
 
 		nextPC := pc + 1
@@ -1292,7 +1210,6 @@ func (c *Core) fetch() {
 			c.incBits(c.scope.robCnt, e.fsb)
 			c.incBits(c.scope.robLoadCnt, e.fsb)
 			c.robIncompleteMem++
-			c.casWaiting++
 			e.stage = stWaiting
 		default: // remaining ALU ops
 			e.src1 = c.resolveSrc(in.Rs1)

@@ -1,11 +1,40 @@
 package cpu
 
-// This file holds the event-driven scheduling structures that replace the
-// per-cycle full-window scans of completeROB and schedule: a completion
-// min-heap and producer->consumer wakeup lists. Both are pure accelerators
-// — every shortcut is provably equivalent to the scan it replaces, and the
-// differential clock test (naive stepping vs. event-driven Run) plus the
-// golden determinism test pin that equivalence down.
+import "sfence/internal/isa"
+
+// This file holds the event-driven scheduling structures: a completion
+// min-heap for completeROB and the wakeups that mark slots for schedule.
+//
+// A waiting ROB entry waits on exactly one kind of thing at a time, and
+// each event marks only the entries it can unblock (event: marks; why
+// nothing else can start):
+//
+//   - a producer completes: its registered consumers; operands wait on
+//     older producers only.
+//   - a store or CAS completes: every memWait load; a done store forwards
+//     and a done CAS is in memory, and only loads read an older store's
+//     stage.
+//   - a store or CAS address resolves: every memWait load; only loads
+//     wait on older addresses.
+//   - a store-buffer entry drains: the head, if it is a waiting CAS; a CAS
+//     waits for same-address drains, and loads never wait on the buffer.
+//   - retirement moves the head: the head, if it is a waiting CAS; a CAS
+//     starts only from the head, and a retiring store or CAS was done.
+//   - decode: the new entry, for its first try.
+//   - a squash: nothing; survivors, and all they wait on, are older than
+//     the squash point.
+//
+// Start conditions never read the clock, so an entry no event marked would
+// start nothing. An address resolves inside the schedule pass, and the
+// loads it wakes are younger, so the same ascending pass reaches them —
+// one pass starts what repeated full scans would.
+//
+// Naive Step and the event-driven Run share Core.Tick, so the clock
+// equivalence tests cannot see a scheduler bug. The gates that pin it are
+// the golden determinism test (testdata/golden_quick.json, T, S, T+ and
+// S+), the bench digests (bench/testdata/expected.json), the SC reference
+// interpreter through the differential fuzzers, and sched_test.go, which
+// checks the fixed point after every tick.
 
 // compNode schedules one executing entry's completion.
 type compNode struct {
@@ -82,8 +111,8 @@ func (c *Core) rebuildCompHeap() {
 
 // regWake registers the entry in slot `consumer` to be woken when the
 // in-flight producer of operand k completes. Producers already done (or
-// committed) need no registration: the decode-triggered full scan tries
-// the consumer at least once.
+// committed) need no registration: decode marks the consumer for its first
+// try.
 func (c *Core) regWake(src int64, consumer uint64, k int) {
 	if src < 0 || uint64(src) < c.head {
 		return
@@ -120,6 +149,32 @@ func (c *Core) fireWakes(seq uint64) {
 		id = c.wakeNext[id]
 	}
 	c.wakePending = true
+}
+
+// mark queues the entry at seq for a try in the next schedule pass.
+func (c *Core) mark(seq uint64) {
+	s := seq & c.robMask
+	c.readyBits[s>>6] |= 1 << (s & 63)
+	c.wakePending = true
+}
+
+// wakeMemWaiters marks every load that olderStoreBlocks held back.
+func (c *Core) wakeMemWaiters() {
+	for i, w := range c.memWait {
+		if w != 0 {
+			c.readyBits[i] |= w
+			c.wakePending = true
+		}
+	}
+}
+
+// wakeHeadCAS marks the ROB head if it is a waiting CAS.
+func (c *Core) wakeHeadCAS() {
+	if c.head < c.tail {
+		if e := c.slot(c.head); e.stage == stWaiting && e.inst.Op == isa.OpCAS {
+			c.mark(c.head)
+		}
+	}
 }
 
 // wipeWakes clears every wakeup list (used by squash before surviving

@@ -590,9 +590,9 @@ func spinCreditStats(s, d *Stats, times uint64) {
 //   - derived structures are excluded because they are functions of what
 //     is captured: the completion heap is exactly the executing entries
 //     (popped in deterministic (readyAt, seq) order), the wakeup lists are
-//     exactly the waiting entries' not-yet-done producers, and per-tick
-//     scratch (accrual, stall dedup flags) is rebuilt from scratch each
-//     Tick.
+//     exactly the waiting entries' not-yet-done producers, memWait is
+//     exactly the waiting loads with addrOK, and per-tick scratch
+//     (accrual, stall dedup flags) is rebuilt from scratch each Tick.
 func (c *Core) spinCapture(buf []uint64) []uint64 {
 	const none = ^uint64(0)
 	relSeq := func(s int64) uint64 {
@@ -621,7 +621,7 @@ func (c *Core) spinCapture(buf []uint64) []uint64 {
 	}
 	var flags uint64
 	for i, b := range [...]bool{
-		c.haltDone, c.schedDirty, c.wakePending, c.progressed,
+		c.haltDone, c.wakePending, c.progressed,
 		c.fenceStallSeen, c.robFullSeen, c.sbFullSeen,
 		c.scope.shadowLag, c.scope.forceFull,
 	} {
@@ -632,7 +632,7 @@ func (c *Core) spinCapture(buf []uint64) []uint64 {
 	buf = append(buf, nc, nd, c.tail-c.head, dp-c.head, flags,
 		uint64(c.haltInROB), uint64(c.unresolvedBranches),
 		uint64(c.robIncompleteMem), uint64(c.robStoreCount),
-		uint64(c.specLoads), uint64(c.casWaiting), uint64(c.sbInflight))
+		uint64(c.specLoads), uint64(c.sbInflight))
 
 	for i := range c.regs {
 		buf = append(buf, uint64(c.regs[i]), relSeq(c.regTag[i]))
