@@ -2,11 +2,14 @@ package cpu
 
 import "math"
 
-// This file is the core half of the event-driven two-speed clock: a
-// quiescence detector (progressed), a conservative next-event bound
-// (NextWakeup), and a bulk idle-cycle crediting routine (FastForward) that
-// reproduces, counter for counter, what per-cycle stepping would have
-// accumulated while the core spins waiting for memory.
+// This file is the core half of the event-driven clock: a quiescence
+// detector (progressed), a conservative next-event bound (NextWakeup), and
+// a bulk idle-cycle crediting routine (FastForward) that reproduces,
+// counter for counter, what per-cycle stepping would have accumulated
+// while the core waits for memory. The machine keeps one wakeup per core:
+// it ticks a core only at its NextWakeup and leaves it lagging in between,
+// so FastForward runs lazily, per core, when the core is next ticked or
+// caught up.
 //
 // The contract that makes fast-forwarding bit-identical to naive stepping:
 // Tick is a deterministic function of (core state, cycle). If a Tick
@@ -16,7 +19,13 @@ import "math"
 // quiescent cycle therefore accrues exactly: Cycles++, the ROB-occupancy
 // integral, and whichever once-per-cycle stall counters the last Tick
 // bumped (recorded in stallAccrual). FastForward(delta) credits delta
-// copies of that accrual in O(1).
+// copies of that accrual in O(1). A quiescent Tick reads only the core's
+// own state, so other cores acting meanwhile cannot change what the
+// skipped Ticks would have done, with one exception the machine handles
+// itself: a remote-store snoop (NoteRemoteStore), before which it catches
+// the core up. (The spin detector also reads the memory version other
+// cores bump, but it only decides when the core may be parked, and
+// parking is exact.)
 
 // NeverWakes is the NextWakeup value of a core with no scheduled event:
 // done, faulted, or deadlocked. The machine clamps it to the cycle budget,
@@ -49,20 +58,11 @@ func (a *stallAccrual) addSite(s *FenceSite, idle bool) {
 	}
 }
 
-// Active reports whether the core can make forward progress on the very
-// next cycle: its last Tick mutated state, or snoops are waiting to be
-// processed. Done and faulted cores are never active.
-func (c *Core) Active() bool {
-	if c.fault != nil || c.Done() {
-		return false
-	}
-	return c.progressed || len(c.snoopPending) > 0
-}
-
 // Cycle returns the cycle of the core's most recent tick, counting the
 // cycles FastForward and SpinForward covered. Whenever Machine.Run
 // returns, every core that has not finished sits at the machine's
-// Cycle()-1; inside Run a core parked in a spin lags behind it.
+// Cycle()-1; inside Run a core that is waiting or parked in a spin lags
+// behind it.
 func (c *Core) Cycle() int64 { return c.cycle }
 
 // Traced reports whether a pipeline tracer is attached. Tracers observe
@@ -112,7 +112,9 @@ func (c *Core) NextWakeup() int64 {
 // ROB-occupancy integral, and the once-per-cycle stall counters captured
 // by the last Tick. It must only be called when the core is quiescent
 // (progressed false, no pending snoops) and every skipped cycle is
-// strictly before NextWakeup.
+// strictly before NextWakeup. The machine calls it lazily, per core: just
+// before the core's next Tick, or when a snoop or the end of a Run catches
+// the core up. A non-positive delta is a no-op.
 func (c *Core) FastForward(delta int64) {
 	if delta <= 0 || c.fault != nil || c.Done() {
 		return

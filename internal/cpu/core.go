@@ -978,7 +978,7 @@ func (c *Core) squash(fromSeq uint64) {
 	// Restore the fence scope stack to its state before fromSeq decoded.
 	switch c.cfg.Recovery {
 	case RecoverySnapshot:
-		c.scope.restoreSnapshot(c.slot(fromSeq).snap)
+		c.scope.restoreSnapshot(&c.slot(fromSeq).snap)
 	case RecoveryShadow:
 		c.scope.restoreShadow()
 	}
@@ -1123,8 +1123,13 @@ func (c *Core) fetch() {
 
 		seq := c.tail
 		e := c.slot(seq)
-		*e = robEntry{inst: in, pc: pc, src1: -1, src2: -1, src3: -1}
-		e.snap = c.scope.snapshot()
+		// Decode in place: a robEntry literal would be built in a
+		// temporary and copied into the slot.
+		*e = robEntry{}
+		e.inst = in
+		e.pc = pc
+		e.src1, e.src2, e.src3 = -1, -1, -1
+		c.scope.snapshotInto(&e.snap)
 		c.progressed = true
 		// A fresh entry needs one scheduling try; decode changes nothing
 		// about older entries. The slot may still hold a squashed load's

@@ -256,18 +256,17 @@ func (s *scopeHW) fenceSetFull() bool {
 	return s.forceFull
 }
 
-// snapshot returns a compact copy of the FSS and overflow counter, used by
-// RecoverySnapshot to checkpoint at branches.
-func (s *scopeHW) snapshot() fssSnapshot {
-	var snap fssSnapshot
+// snapshotInto writes a compact copy of the FSS and overflow counter into
+// snap, which must be zero: the checkpoint RecoverySnapshot restores on a
+// squash. Decode writes it straight into the new ROB slot.
+func (s *scopeHW) snapshotInto(snap *fssSnapshot) {
 	snap.depth = uint8(len(s.fss))
 	copy(snap.entries[:], s.fss)
 	snap.overflow = s.overflow
-	return snap
 }
 
 // restoreSnapshot restores an exact checkpoint.
-func (s *scopeHW) restoreSnapshot(snap fssSnapshot) {
+func (s *scopeHW) restoreSnapshot(snap *fssSnapshot) {
 	s.fss = append(s.fss[:0], snap.entries[:snap.depth]...)
 	s.overflow = snap.overflow
 	s.forceFull = false

@@ -159,10 +159,11 @@ func TestScopeFsEndOnEmptyStackIgnored(t *testing.T) {
 func TestScopeSnapshotRestore(t *testing.T) {
 	s, _ := newScopeForTest(4, 4, 4)
 	s.fsStart(1, true)
-	snap := s.snapshot()
+	var snap fssSnapshot
+	s.snapshotInto(&snap)
 	s.fsStart(2, true)
 	s.fsStart(3, true)
-	s.restoreSnapshot(snap)
+	s.restoreSnapshot(&snap)
 	if len(s.fss) != 1 {
 		t.Errorf("restored FSS depth = %d, want 1", len(s.fss))
 	}

@@ -6,7 +6,7 @@ import (
 	"sfence/internal/memsys"
 )
 
-// Spin-aware fast-forward. The two-speed clock's FastForward covers cores
+// Spin-aware fast-forward. The event-driven clock's FastForward covers cores
 // that make NO progress; busy-wait loops defeat it because every iteration
 // decodes, executes, and retires instructions (progressed == true forever).
 // This file closes that gap: a per-core detector that recognizes when the

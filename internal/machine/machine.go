@@ -11,12 +11,13 @@
 // StatsSnapshot evaluates all of it into one deterministically ordered
 // snapshot.
 //
-// Run is a two-speed event-driven loop: per-cycle stepping while any
-// core makes progress, and a fast-forward jump to the earliest per-core
-// wakeup when every core is quiescent, with skipped cycles credited so
-// results stay bit-identical to naive stepping. Cores in a confirmed
-// busy-wait spin are parked off the loop and caught up when something
-// reaches them (see DESIGN.md, "The two-speed event-driven clock").
+// Run is an event-driven loop with one wakeup per core: it ticks a core
+// only at the cycle its state can next change, credits the idle cycles it
+// skipped when it next ticks, and jumps the clock to the earliest wakeup
+// when no core is due, so results stay bit-identical to naive stepping.
+// Cores in a confirmed busy-wait spin are parked off the loop and caught
+// up when something reaches them (see DESIGN.md, "The event-driven
+// clock").
 package machine
 
 import (
@@ -87,34 +88,49 @@ type Machine struct {
 	reg   *stats.Registry
 	clock ClockStats
 
-	// parked[i] marks core i as parked in a confirmed spin: runSeq no
-	// longer ticks it, and its own clock (Core.Cycle) lags the machine's
-	// until unpark catches it up. ticking is the index of the core whose
-	// Tick is in progress; it places a delivery to a parked core in the
-	// cycle's fixed tick order.
-	parked  []bool
+	// due[i] is the cycle at which Run next ticks core i. A core whose
+	// tick changed nothing is due at its NextWakeup: every cycle before
+	// that would repeat the same idle tick, so Run skips them and credits
+	// them with FastForward when the core is next ticked or caught up. A
+	// core parked in a confirmed spin is due at parked, which no cycle
+	// reaches; it is caught up with SpinForward when an interaction
+	// reaches it. nParked counts the parked cores, and nextDue is the
+	// earliest due cycle the current cycle has scheduled. ticking is the
+	// index of the core whose Tick is in progress; it places a catch-up
+	// in the cycle's fixed tick order.
+	due     []int64
+	nextDue int64
+	nParked int
 	ticking int
+	limit   int64 // cycle budget: MaxCycles or DefaultMaxCycles
 }
 
-// ClockStats reports how the two-speed clock spent a Run: SlowTicks is the
-// number of cycles stepped one by one, SkippedCycles the cycles covered by
-// fast-forward jumps, and Jumps the number of jumps. SpinJumps counts the
-// jumps taken while at least one core was parked in a confirmed busy-wait
-// spin (see cpu's spin detector), and SpinSkippedCycles the cycles those
-// jumps covered — both are included in Jumps/SkippedCycles, not
-// additional. The cycles each core itself spent spin-forwarded, slow
-// ticks included, are the per-core machine.clock.coreN_spin_* counters.
-// TracerPinned records that fast-forwarding was disabled because a
-// per-cycle pipeline tracer was attached — so zero jumps on a traced run
-// reads as "pinned", not "never idle". SlowTicks+SkippedCycles equals
-// the final cycle count. All of it lives under machine.clock.* because
-// it describes how the clock ran, not what the simulated hardware did.
+// ClockStats reports how the event-driven clock spent a Run: SlowTicks is
+// the number of cycles stepped one by one (whether they ticked every core
+// or only the few that were due), SkippedCycles the cycles covered by
+// jumps taken when no core was due, and Jumps the number of jumps.
+// SpinJumps counts the jumps taken while at least one core was parked in
+// a confirmed busy-wait spin (see cpu's spin detector), and
+// SpinSkippedCycles the cycles those jumps covered — both are included in
+// Jumps/SkippedCycles, not additional. The cycles each core itself spent
+// spin-forwarded, slow ticks included, are the per-core
+// machine.clock.coreN_spin_* counters. CoreTicks counts the Core.Tick
+// calls the machine made, the single ticks that finish a parked core's
+// catch-up included: a core skipped while it waits, or parked, takes none,
+// so CoreTicks over the summed core cycles is the share of core-cycles
+// actually simulated tick by tick. TracerPinned records that skipping was
+// disabled because a per-cycle pipeline tracer was attached — so zero
+// jumps on a traced run reads as "pinned", not "never idle".
+// SlowTicks+SkippedCycles equals the final cycle count. All of it lives
+// under machine.clock.* because it describes how the clock ran, not what
+// the simulated hardware did.
 type ClockStats struct {
 	SlowTicks         int64
 	SkippedCycles     int64
 	Jumps             int64
 	SpinJumps         int64
 	SpinSkippedCycles int64
+	CoreTicks         int64
 	TracerPinned      bool
 }
 
@@ -135,7 +151,10 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, prog: prog, img: img, hier: hier, reg: stats.NewRegistry()}
+	m := &Machine{cfg: cfg, prog: prog, img: img, hier: hier, reg: stats.NewRegistry(), limit: cfg.MaxCycles}
+	if m.limit <= 0 {
+		m.limit = DefaultMaxCycles
+	}
 	root := m.reg.Root()
 	for i, th := range threads {
 		pc, err := prog.Entry(th.Entry)
@@ -148,7 +167,7 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 		}
 		core.OnStoreComplete = m.broadcastStore
 		m.cores = append(m.cores, core)
-		m.parked = append(m.parked, false)
+		m.due = append(m.due, 0)
 		// Every component owns its counters and registers them here, at
 		// construction, under its place in the hierarchy: core pipeline
 		// and S-Fence hardware stats under "coreN.*", its cache-side
@@ -168,7 +187,7 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 			return
 		}
 		c := m.cores[core]
-		if m.parked[core] {
+		if m.due[core] == parked {
 			if !c.SpinReadsLine(line) {
 				return
 			}
@@ -182,7 +201,7 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 
 // registerMachineStats publishes the whole-machine derived stats: the
 // global cycle, cross-core sums (what TotalStats reports), memory-system
-// totals, the two-speed clock accounting, and the paper's headline
+// totals, the event-driven clock accounting, and the paper's headline
 // fence-stall fraction. All are closures evaluated only at snapshot time.
 func (m *Machine) registerMachineStats(g *stats.Group) {
 	sum := func(pick func(*cpu.Stats) uint64) func() uint64 {
@@ -222,11 +241,12 @@ func (m *Machine) registerMachineStats(g *stats.Group) {
 	}
 
 	clock := g.Sub("clock")
-	clock.Derived("slow_ticks", "cycles stepped one by one by the two-speed clock", func() uint64 { return uint64(m.clock.SlowTicks) })
+	clock.Derived("slow_ticks", "cycles stepped one by one by the event-driven clock", func() uint64 { return uint64(m.clock.SlowTicks) })
 	clock.Derived("skipped_cycles", "cycles covered by fast-forward jumps", func() uint64 { return uint64(m.clock.SkippedCycles) })
 	clock.Derived("jumps", "fast-forward jumps taken", func() uint64 { return uint64(m.clock.Jumps) })
 	clock.Derived("spin_jumps", "jumps taken while at least one core was parked in a confirmed spin", func() uint64 { return uint64(m.clock.SpinJumps) })
 	clock.Derived("spin_skipped_cycles", "cycles covered by jumps taken while a core was parked", func() uint64 { return uint64(m.clock.SpinSkippedCycles) })
+	clock.Derived("core_ticks", "Core.Tick calls made, catch-up ticks included", func() uint64 { return uint64(m.clock.CoreTicks) })
 	clock.Derived("tracer_pinned", "1 when a per-cycle tracer disabled fast-forwarding", func() uint64 {
 		if m.clock.TracerPinned {
 			return 1
@@ -273,13 +293,15 @@ func (m *Machine) StatsSnapshot() stats.Snapshot { return m.reg.Snapshot() }
 // decides whether to jump past the cycle in which the new value becomes
 // readable. A parked core whose orbit reads the word is first caught up
 // against the old value; any other parked core is left alone, because
-// nothing it computes depends on the word.
+// nothing it computes depends on the word. A skipped core that is handed
+// the snoop is first caught up too, so that it takes the snoop on the
+// cycle per-cycle stepping would.
 func (m *Machine) broadcastStore(from int, addr int64) {
 	for i, c := range m.cores {
 		if i == from {
 			continue
 		}
-		if m.parked[i] {
+		if m.due[i] == parked {
 			if !c.SpinReads(addr) {
 				continue
 			}
@@ -287,6 +309,7 @@ func (m *Machine) broadcastStore(from int, addr int64) {
 		}
 		c.SpinNoteRemoteStore(addr)
 		if c.SpecLoadsInFlight() > 0 {
+			m.wake(i)
 			c.NoteRemoteStore(addr)
 		}
 	}
@@ -313,84 +336,106 @@ func (m *Machine) Step() {
 	m.stepCycle(false)
 }
 
-// stepCycle ticks every core that is not parked and folds the
-// whole-machine status scans into the same pass, so Run does not re-walk
-// the cores for Done/Fault every cycle: it reports whether all cores are
-// done, the first core fault, and whether any core is still active (made
-// forward progress this cycle or holds undelivered snoop notifications).
-// A core in a confirmed stable spin does not count as active even though
-// it progresses every cycle — that is the whole point of spin detection;
-// with park set it is parked until an interaction reaches it (see
-// runSeq). A parked core is neither done nor faulted. The active flag can
-// be stale when a later core's tick wakes a parked or spinning earlier
-// core; the jump block in runSeq re-reads every unparked core's
-// NextWakeup, which yields a zero-length jump for such a core.
-func (m *Machine) stepCycle(park bool) (allDone bool, fault error, active bool) {
+// parked is the due cycle of a core parked in a confirmed spin: no cycle
+// reaches it, while every other core's due cycle is clamped to the cycle
+// budget.
+const parked = cpu.NeverWakes
+
+// stepCycle runs one cycle and reports whether every core is done and the
+// first core fault; a parked core is neither. Without skip it ticks every
+// core: that is Step, and Run with a tracer attached. With skip it ticks
+// only the cores due this cycle, each first credited with the idle cycles
+// it skipped since its last tick, and schedules each core it ticks: a core
+// left in a confirmed stable spin is parked until an interaction reaches
+// it, any other is due at its NextWakeup, which is the next cycle if the
+// tick made progress. A core skipped this cycle would have repeated its
+// last, idle, tick: such a tick reads only the core's own state, and the
+// one thing another core can change there, a snoop, catches the core up
+// and makes it due first (see broadcastStore).
+func (m *Machine) stepCycle(skip bool) (allDone bool, fault error) {
 	allDone = true
+	m.nextDue = cpu.NeverWakes
 	for i, c := range m.cores {
-		if m.parked[i] {
-			allDone = false
+		if skip && m.due[i] > m.cycle {
+			if !c.Done() {
+				allDone = false
+			}
+			m.nextDue = min(m.nextDue, m.due[i])
 			continue
 		}
 		m.ticking = i
+		c.FastForward(m.cycle - 1 - c.Cycle())
 		c.Tick(m.cycle)
+		m.clock.CoreTicks++
 		if !c.Done() {
 			allDone = false
-		}
-		if c.SpinActive() {
-			m.parked[i] = park
-		} else if c.Active() {
-			active = true
 		}
 		if fault == nil {
 			fault = c.Fault()
 		}
+		if !skip {
+			continue
+		}
+		if c.SpinActive() {
+			m.due[i] = parked
+			m.nParked++
+			continue
+		}
+		m.due[i] = min(max(c.NextWakeup(), m.cycle+1), m.limit)
+		m.nextDue = min(m.nextDue, m.due[i])
 	}
 	m.cycle++
 	m.clock.SlowTicks++
-	return allDone, fault, active
+	return allDone, fault
 }
 
-// wake unparks core i for a delivery from the core now ticking. Cores
-// before the ticking one in the tick order have already ticked this
-// cycle, so they are caught up through it; cores after it tick this cycle
-// in the ordinary loop, so they are caught up through the previous one.
+// wake catches core i up for a delivery from the core now ticking. Cores
+// before the ticking one in the tick order have had their turn this
+// cycle, so they are caught up through it and are due at the next one;
+// cores after it take their turn this cycle, so they are caught up
+// through the previous one.
 func (m *Machine) wake(i int) {
-	to := m.cycle - 1
 	if i < m.ticking {
-		to = m.cycle
+		m.catchUp(i, m.cycle)
+		m.nextDue = min(m.nextDue, m.due[i])
+	} else {
+		m.catchUp(i, m.cycle-1)
 	}
-	m.unpark(i, to)
 }
 
-// unpark returns parked core i to the tick loop, caught up so that its
-// last tick is cycle to: whole spin periods through SpinForward, single
-// Ticks for the remainder. Nothing the orbit reads has changed since the
-// core was parked — every change it could see is delivered, and so wakes
-// it, before it is made — so the result is bit-identical to having ticked
-// the core all along.
-func (m *Machine) unpark(i int, to int64) {
-	m.parked[i] = false
+// catchUp brings core i's own clock to cycle to, exactly as ticking it
+// every cycle would have, and makes it due at the next one. A skipped core
+// repeats one idle tick, so FastForward credits the gap; a parked core is
+// spin-forwarded by whole periods and ticked for the remainder. Nothing
+// the core reads has changed since its last tick — every change it could
+// see is delivered, and so catches it up, before it is made — so the
+// result is bit-identical to having ticked the core all along.
+func (m *Machine) catchUp(i int, to int64) {
 	c := m.cores[i]
-	if k := (to - c.Cycle()) / c.SpinPeriod(); k > 0 {
-		c.SpinForward(k * c.SpinPeriod())
-	}
-	for cyc := c.Cycle() + 1; cyc <= to; cyc++ {
-		c.Tick(cyc)
-	}
-}
-
-// unparkAll catches every parked core up to the last completed cycle, so
-// that whoever reads the machine next sees all cores at one cycle.
-func (m *Machine) unparkAll() {
-	for i, p := range m.parked {
-		if p {
-			m.unpark(i, m.cycle-1)
+	if m.due[i] == parked {
+		m.nParked--
+		if k := (to - c.Cycle()) / c.SpinPeriod(); k > 0 {
+			c.SpinForward(k * c.SpinPeriod())
 		}
+		for cyc := c.Cycle() + 1; cyc <= to; cyc++ {
+			c.Tick(cyc)
+			m.clock.CoreTicks++
+		}
+	} else {
+		c.FastForward(to - c.Cycle())
+	}
+	m.due[i] = to + 1
+}
+
+// catchUpAll catches every core up to the last completed cycle, so that
+// whoever reads the machine next sees all cores at one cycle.
+func (m *Machine) catchUpAll() {
+	for i := range m.cores {
+		m.catchUp(i, m.cycle-1)
 	}
 }
 
-// Clock returns the two-speed clock's accounting so far.
+// Clock returns the event-driven clock's accounting so far.
 func (m *Machine) Clock() ClockStats { return m.clock }
 
 // Done reports whether every core has halted and drained.
@@ -440,26 +485,23 @@ const ctxCheckInterval = 4096
 // context.WithCancel mid-cycle-loop); the machine is left at the cycle it
 // reached and is safe to inspect, but not to resume.
 //
-// Run is a two-speed, event-driven loop: while any core is active the
-// machine ticks cycle by cycle, but when every core is quiescent —
-// waiting on cache misses, store-buffer drains, or redirect bubbles — the
-// clock jumps straight to the earliest per-core wakeup, crediting the
-// skipped cycles to each core's stall accounting exactly as per-cycle
-// stepping would have. A core whose tick leaves it in a confirmed spin is
+// Run is an event-driven loop with one wakeup per core: it ticks a core
+// only at its due cycle, and jumps the clock to the earliest due cycle
+// when no core is due — the whole-machine idle case. A core waiting on a
+// cache miss, a store-buffer drain or a redirect bubble is due at its
+// NextWakeup, and the idle cycles it skips are credited to its stall
+// accounting, exactly as per-cycle stepping would have, when it is next
+// ticked or caught up. A core whose tick leaves it in a confirmed spin is
 // parked: it is not ticked again until a store or coherence action that
 // its orbit can notice reaches it, or Run returns, and is then caught up
 // to that exact point. The per-cycle timing model is untouched: results
 // and statistics are bit-identical to naive stepping (asserted by
-// TestClockEquivalence), and every core is at the same cycle when Run
-// returns. Attaching a tracer pins the slow path and disables parking,
-// because tracers observe per-cycle events.
+// TestClockEquivalence), and every live core is at the machine's
+// Cycle()-1 when Run returns. Attaching a tracer disables skipping and
+// parking, because tracers observe per-cycle events.
 func (m *Machine) Run(ctx context.Context) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	limit := m.cfg.MaxCycles
-	if limit <= 0 {
-		limit = DefaultMaxCycles
 	}
 	if err := ctx.Err(); err != nil {
 		return m.cycle, err
@@ -473,16 +515,22 @@ func (m *Machine) Run(ctx context.Context) (int64, error) {
 	if err := m.Fault(); err != nil {
 		return m.cycle, err
 	}
-	err := m.runSeq(ctx, limit)
+	err := m.runSeq(ctx)
 	return m.cycle, err
 }
 
-// runSeq is the two-speed loop: it returns nil when every core finished,
-// and an error on a fault, an exhausted cycle budget, or cancellation.
-// Every return catches the parked cores up first.
-func (m *Machine) runSeq(ctx context.Context, limit int64) error {
-	defer m.unparkAll()
-	park := !m.traced()
+// runSeq is the event-driven loop: it returns nil when every core
+// finished, and an error on a fault, an exhausted cycle budget, or
+// cancellation. Every return catches the skipped and parked cores up
+// first.
+func (m *Machine) runSeq(ctx context.Context) error {
+	defer m.catchUpAll()
+	skip := !m.traced()
+	if !skip {
+		// Record explicitly that skipping is disabled, so a traced run's
+		// Clock() reads "pinned" instead of silently showing zero jumps.
+		m.clock.TracerPinned = true
+	}
 	done := ctx.Done()
 	untilCheck := ctxCheckInterval
 	for {
@@ -494,61 +542,32 @@ func (m *Machine) runSeq(ctx context.Context, limit int64) error {
 			default:
 			}
 		}
-		if m.cycle >= limit {
-			return fmt.Errorf("machine: exceeded %d cycles (livelock or runaway program?)", limit)
+		if m.cycle >= m.limit {
+			return fmt.Errorf("machine: exceeded %d cycles (livelock or runaway program?)", m.limit)
 		}
-		allDone, fault, active := m.stepCycle(park)
+		allDone, fault := m.stepCycle(skip)
 		if allDone {
 			return nil
 		}
 		if fault != nil {
 			return fault
 		}
-		if active {
+		// No core due before nextDue: jump there. Parked cores keep their
+		// own lagging clocks and are never due — something else must act
+		// to reach them. Every other core's due cycle is clamped to the
+		// budget, so if no core will wake (a deadlocked or all-spinning
+		// program) the clock jumps straight to the budget, where the loop
+		// reports the same livelock error — with the same statistics, once
+		// the cores are caught up — the naive clock would have spun its way
+		// to.
+		if !skip || m.nextDue <= m.cycle {
 			continue
 		}
-		if !park {
-			// Record explicitly that fast-forwarding is disabled, so a
-			// traced run's Clock() reads "pinned" instead of silently
-			// showing zero jumps.
-			m.clock.TracerPinned = true
-			continue
-		}
-		// Every unparked core is idle: fast-forward them to the earliest
-		// wakeup among them. Parked cores keep their own lagging clocks and
-		// need no wakeup — something unparked must act to reach them. A
-		// core with no scheduled event reports cpu.NeverWakes; if all do (a
-		// deadlocked or all-spinning program), the clamp below jumps
-		// straight to the cycle budget, where the loop reports the same
-		// livelock error — with the same statistics, once the parked cores
-		// are caught up — the naive clock would have spun its way to.
-		wake := cpu.NeverWakes
-		nParked := 0
-		for i, c := range m.cores {
-			if m.parked[i] {
-				nParked++
-				continue
-			}
-			if w := c.NextWakeup(); w < wake {
-				wake = w
-			}
-		}
-		if wake > limit {
-			wake = limit
-		}
-		d := wake - m.cycle
-		if d <= 0 {
-			continue
-		}
-		for i, c := range m.cores {
-			if !m.parked[i] {
-				c.FastForward(d)
-			}
-		}
+		d := min(m.nextDue, m.limit) - m.cycle
 		m.cycle += d
 		m.clock.SkippedCycles += d
 		m.clock.Jumps++
-		if nParked > 0 {
+		if m.nParked > 0 {
 			m.clock.SpinJumps++
 			m.clock.SpinSkippedCycles += d
 		}

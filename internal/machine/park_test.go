@@ -84,11 +84,18 @@ func busyThread(iters int64) Thread {
 
 func newParkMachine(t *testing.T, maxCycles int64, spec bool, threads ...Thread) *Machine {
 	t.Helper()
+	return newTestMachine(t, parkProgram(), maxCycles, spec, threads...)
+}
+
+// newTestMachine builds a default machine with one core per thread
+// running prog, with the given cycle budget and in-window speculation.
+func newTestMachine(t *testing.T, prog *isa.Program, maxCycles int64, spec bool, threads ...Thread) *Machine {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = len(threads)
 	cfg.MaxCycles = maxCycles
 	cfg.Core.InWindowSpec = spec
-	m, err := New(cfg, parkProgram(), threads)
+	m, err := New(cfg, prog, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
