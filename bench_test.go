@@ -1,6 +1,8 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper (regenerating the experiment at Quick scale and reporting the
-// headline metric), plus simulator micro-benchmarks.
+// headline metric), plus a program-assembly micro-benchmark. Simulator
+// speed is measured by the bench/ module (bash bench/run.sh), with
+// repeated runs and their spread.
 //
 // Run with: go test -bench=. -benchmem
 package sfence_test
@@ -168,43 +170,6 @@ func BenchmarkAblationFIFOStoreBuffer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runExperiment[sfence.AblationSet](b, "ablation/fifo-store-buffer")
 	}
-}
-
-// BenchmarkStepThroughput measures the simulator's clock speed (simulated
-// cycles per second) on the Table III machine running the fence-drain
-// microbenchmark with traditional fences — the fence-heavy, miss-heavy
-// shape of the paper's Fig. 10, where the core idles at a fence for a full
-// memory round-trip every iteration. This is the workload the two-speed
-// event-driven clock exists for, and the benchmark tracked by the
-// BENCH_SIMPERF.json artifact (sfence-report -simperf).
-func BenchmarkStepThroughput(b *testing.B) {
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sfence.RunBenchmark("fence-drain", sfence.BenchmarkOptions{
-			Mode: sfence.Traditional, Ops: 400,
-		}, sfence.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed: simulated
-// cycles per second on the wsq benchmark.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sfence.RunBenchmark("wsq", sfence.BenchmarkOptions{
-			Mode: sfence.Scoped, Ops: 60, Workload: 2, Threads: 4,
-		}, sfence.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
 // BenchmarkKernelBuild measures program-assembly cost (no simulation).

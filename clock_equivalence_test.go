@@ -12,7 +12,9 @@ package sfence_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -404,23 +406,44 @@ func TestClockTracingPinsSlowPath(t *testing.T) {
 	}
 }
 
-// TestClockFastForwardEngages pins the perf property the event-driven
-// clock exists for: on the fence-heavy, miss-heavy fence-drain workload
-// with traditional fences, the overwhelming majority of cycles must be
-// covered by fast-forward jumps, not stepped.
+// TestClockFastForwardEngages pins the work the event-driven clock saves,
+// as exact counts rather than wall time, on every quickOps kernel in T
+// and S (Workload 2). Every run must skip cycles and tick a core on at
+// most 3/4 of its core cycles; the long-latency kernels must skip at
+// least half their cycles; and dekker and wsq under traditional fences
+// must take spin jumps. The tightest margins are ptc's skipped share
+// (about 2%) and harris/S's core ticks per core cycle (about 0.63).
 func TestClockFastForwardEngages(t *testing.T) {
-	_, m := buildKernelMachine(t, "fence-drain",
-		kernels.Options{Mode: kernels.Traditional, Ops: 100}, machine.DefaultConfig())
-	cycles, err := m.Run(context.Background())
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	cs := m.Clock()
-	if cs.SlowTicks+cs.SkippedCycles != cycles {
-		t.Fatalf("clock accounting broken: %+v vs %d cycles", cs, cycles)
-	}
-	if frac := float64(cs.SkippedCycles) / float64(cycles); frac < 0.5 {
-		t.Fatalf("fast-forward covered only %.1f%% of %d cycles (%+v); want > 50%%", 100*frac, cycles, cs)
+	const maxTickShare = 0.75
+	minSkipShare := map[string]float64{"barnes": 0.5, "radiosity": 0.5, "fence-drain": 0.5}
+	spinsUnderT := map[string]bool{"dekker": true, "wsq": true}
+	for _, bench := range slices.Sorted(maps.Keys(quickOps)) {
+		for _, mode := range []kernels.FenceMode{kernels.Traditional, kernels.Scoped} {
+			t.Run(fmt.Sprintf("%s/%v", bench, mode), func(t *testing.T) {
+				opts := kernels.Options{Mode: mode, Ops: quickOps[bench], Workload: 2}
+				_, m := buildKernelMachine(t, bench, opts, machine.DefaultConfig())
+				cycles, err := m.Run(context.Background())
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				cs := m.Clock()
+				if cs.SlowTicks+cs.SkippedCycles != cycles {
+					t.Fatalf("clock accounting broken: %+v vs %d cycles", cs, cycles)
+				}
+				skipShare := float64(cs.SkippedCycles) / float64(cycles)
+				tickShare := float64(cs.CoreTicks) / float64(m.StatsSnapshot().UValue("machine.core_cycles"))
+				t.Logf("skipped %.3f, core ticks per core cycle %.3f, spin jumps %d", skipShare, tickShare, cs.SpinJumps)
+				if cs.SkippedCycles == 0 || skipShare < minSkipShare[bench] {
+					t.Errorf("clock skipped %.1f%% of %d cycles, want above 0 and at least %.0f%% (%+v)", 100*skipShare, cycles, 100*minSkipShare[bench], cs)
+				}
+				if tickShare > maxTickShare {
+					t.Errorf("%.3f core ticks per core cycle, want at most %.2f (%+v)", tickShare, maxTickShare, cs)
+				}
+				if mode == kernels.Traditional && spinsUnderT[bench] && cs.SpinJumps == 0 {
+					t.Errorf("no spin jumps: the spin detector never confirmed an orbit (%+v)", cs)
+				}
+			})
+		}
 	}
 }
 

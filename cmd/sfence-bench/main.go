@@ -11,7 +11,6 @@
 //	sfence-bench -json fig13             # schema-versioned JSON envelope
 //	sfence-bench -quick ablation/fsb-entries ablation/fss-depth
 //	sfence-bench -cache /tmp/sfc -all    # memoize simulations on disk
-//	sfence-bench simperf                 # measure the simulator itself
 //	sfence-bench -server http://localhost:8080 table4
 //	                                     # run on a sfence-serve instance
 //
@@ -42,7 +41,7 @@ import (
 
 func main() {
 	var (
-		all        = flag.Bool("all", false, "run every deterministic experiment (excludes simperf, which is wall-clock based)")
+		all        = flag.Bool("all", false, "run every suite experiment (excludes the stats drill-down)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		quick      = flag.Bool("quick", false, "reduced workload sizes")
 		asJSON     = flag.Bool("json", false, "emit schema-versioned JSON envelopes instead of ASCII")
@@ -95,7 +94,7 @@ func main() {
 	ids := flag.Args()
 	if *all {
 		for _, spec := range sfence.Experiments() {
-			if spec.InSuite() { // simperf is wall-clock based: explicit only
+			if spec.InSuite() { // stats is a drill-down: explicit only
 				ids = append(ids, spec.ID)
 			}
 		}

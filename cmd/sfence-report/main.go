@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +38,6 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable the run cache")
 		progress   = flag.Bool("progress", true, "report per-experiment progress on stderr")
 		parallel   = flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
-		simperf    = flag.Bool("simperf", false, "also measure the simulator itself (naive vs. event-driven clock) and write BENCH_SIMPERF.json; wall-clock based, so not byte-deterministic")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -127,30 +125,6 @@ func main() {
 	mdPath := filepath.Join(*out, "EXPERIMENTS.md")
 	if err := os.WriteFile(mdPath, []byte(suite.ExperimentsMD()), 0o644); err != nil {
 		fail(err)
-	}
-
-	if *simperf {
-		res, err := lab.Run(ctx, "simperf")
-		if err != nil {
-			fail(err)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fail(err)
-		}
-		spPath := filepath.Join(*out, "BENCH_SIMPERF.json")
-		if err := os.WriteFile(spPath, data, 0o644); err != nil {
-			fail(err)
-		}
-		paths = append(paths, spPath)
-		rep, ok := res.Data.(sfence.SimPerfReport)
-		if !ok {
-			fail(errors.New("simperf payload has unexpected type"))
-		}
-		for _, r := range rep.Rows {
-			fmt.Fprintf(os.Stderr, "simperf: %-12s %-12s %9d cycles  naive %8.0f cyc/s  event %9.0f cyc/s  %6.2fx\n",
-				r.Bench, r.Mode, r.SimCycles, r.NaiveCyclesPerSec, r.EventCyclesPerSec, r.Speedup)
-		}
 	}
 
 	fmt.Printf("wrote %s and %d JSON artifacts to %s\n", mdPath, len(paths), *out)

@@ -148,9 +148,21 @@ func main() {
 	} else {
 		res, err = sfence.RunBenchmarkContext(ctx, *bench, opts, cfg)
 	}
-	if err != nil {
+	// A run that fails Verify still carries its Result: print it, so the
+	// cycles and stats explain the failure, then exit 1.
+	if err != nil && res.Cycles == 0 {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	defer func() {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}()
+	verdict := "PASSED"
+	if err != nil {
+		verdict = "FAILED"
 	}
 	if *statsJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -176,7 +188,7 @@ func main() {
 		}
 		fmt.Printf("%-20s%d\n", fmt.Sprintf("L%d misses:", k), smp.Value)
 	}
-	fmt.Println("verification:       PASSED")
+	fmt.Println("verification:       " + verdict)
 	if *profile {
 		fmt.Println("\nFence profile (stalls by static fence site):")
 		fmt.Printf("  %-6s %-20s %10s %12s %12s\n", "pc", "fence", "execs", "stall-cyc", "idle-cyc")

@@ -20,7 +20,7 @@ var coresBenches = []string{"scale", "scale-imb"}
 
 // CoresRow is one (benchmark, cores, mode) cell of the core-count sweep.
 // Everything in it is simulated (deterministic) data; wall-clock
-// measurements of the simulator itself live in BENCH_SIMPERF.
+// measurements of the simulator itself come from bench/.
 type CoresRow struct {
 	Bench    string `json:"bench"`
 	Cores    int    `json:"cores"`

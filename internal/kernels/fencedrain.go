@@ -24,7 +24,7 @@ func init() {
 }
 
 // buildFenceDrain assembles the fence-heavy, miss-heavy microbenchmark
-// used by BenchmarkStepThroughput and the simulator-performance artifact:
+// used by the clock tests and bench/'s sim-skip workload:
 // per iteration, a private store to a never-before-touched cache line (an
 // L2 miss that drains from the store buffer at full memory latency), an
 // in-scope flag store, a fence, and an in-scope flag load. Under

@@ -254,7 +254,9 @@ func (r Result) FenceStallFraction() float64 {
 // Run executes the kernel on the given machine configuration, verifies the
 // result, and returns the measurements. The context cancels or time-boxes
 // the simulation mid-cycle-loop (see machine.Machine.Run); a cancelled run
-// returns ctx.Err() and no Result.
+// returns ctx.Err() and no Result. A run that completes but fails Verify
+// returns its full Result next to the error, so the failure can be
+// explained from the cycle count and the stats snapshot.
 func Run(ctx context.Context, k *Kernel, cfg machine.Config) (Result, error) {
 	return RunTraced(ctx, k, cfg, nil)
 }
@@ -281,9 +283,11 @@ func RunTraced(ctx context.Context, k *Kernel, cfg machine.Config, tracer cpu.Tr
 	if err != nil {
 		return Result{}, fmt.Errorf("kernels: %s: %w", k.Name, err)
 	}
+	// A failed Verify still returns the Result, which explains the run.
+	var verr error
 	if k.Verify != nil {
 		if err := k.Verify(m.Image()); err != nil {
-			return Result{}, fmt.Errorf("kernels: %s verification failed: %w", k.Name, err)
+			verr = fmt.Errorf("kernels: %s verification failed: %w", k.Name, err)
 		}
 	}
 	// The Result is a projection of the registry snapshot: the machine's
@@ -307,7 +311,7 @@ func RunTraced(ctx context.Context, k *Kernel, cfg machine.Config, tracer cpu.Tr
 			L2Misses:        snap.UValue("machine.mem.l2_misses"),
 		},
 		Snapshot: snap,
-	}, nil
+	}, verr
 }
 
 // --- shared code-generation helpers ---

@@ -2,10 +2,12 @@ package kernels
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"sfence/internal/machine"
+	"sfence/internal/memsys"
 )
 
 // smallOpts returns fast-but-meaningful options per benchmark for tests.
@@ -319,6 +321,28 @@ func TestFenceProfileFindsPSTFullFence(t *testing.T) {
 	}
 	if globalIdle == 0 {
 		t.Error("the application full fence recorded no idle stalls")
+	}
+}
+
+// TestFailedVerifyKeepsResult runs a kernel whose Verify always fails:
+// Run must report the failure and still return the finished run's
+// Result, so a caller can explain the failure from its cycles and stats.
+func TestFailedVerifyKeepsResult(t *testing.T) {
+	k, err := Build("dekker", smallOpts("dekker"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errLost := errors.New("lost insert")
+	k.Verify = func(*memsys.Image) error { return errLost }
+	res, err := Run(context.Background(), k, machine.DefaultConfig())
+	if !errors.Is(err, errLost) || !strings.Contains(err.Error(), "verification failed") {
+		t.Fatalf("Run error = %v, want a verification failure wrapping %v", err, errLost)
+	}
+	if res.Cycles == 0 || res.Stats.Committed == 0 {
+		t.Errorf("failed run returned an empty Result: cycles %d, committed %d", res.Cycles, res.Stats.Committed)
+	}
+	if got := res.Snapshot.UValue("machine.committed"); got != res.Stats.Committed {
+		t.Errorf("snapshot machine.committed = %d, Result says %d", got, res.Stats.Committed)
 	}
 }
 

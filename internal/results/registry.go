@@ -29,7 +29,7 @@ func (e *ErrUnknownExperiment) Error() string {
 // iterate, so every consumer agrees on identities and encodings.
 type ExperimentSpec struct {
 	// ID is the stable experiment identifier: "fig12", "table4",
-	// "ablation/fsb-entries", "simperf", ...
+	// "ablation/fsb-entries", "stats", ...
 	ID string
 	// Title is the human heading (also the envelope title).
 	Title string
@@ -52,16 +52,16 @@ type ExperimentSpec struct {
 	Render func(data any) string
 
 	// store installs a payload into a Suite; nil marks experiments that
-	// RunSuite skips (simperf measures wall clock, so it is not part of
-	// the deterministic suite).
+	// RunSuite skips (stats is a drill-down artifact, not one of the
+	// paper's figures).
 	store func(*Suite, any)
 	// fromSuite reads the payload back out of a stored Suite, for
 	// artifact regeneration.
 	fromSuite func(*Suite) any
 }
 
-// InSuite reports whether RunSuite executes this experiment (everything
-// deterministic; simperf is the exception).
+// InSuite reports whether RunSuite executes this experiment (every
+// experiment except the explicit-only stats drill-down).
 func (e ExperimentSpec) InSuite() bool { return e.store != nil }
 
 // typedSpec adapts strongly-typed experiment functions to the any-typed
@@ -147,9 +147,8 @@ func ablationExperimentSpec(a AblationSpec) ExperimentSpec {
 
 // Experiments returns the registry in presentation order: the figures,
 // the ablation sweeps, the tables, the hardware-cost model, and finally
-// the (non-deterministic, suite-excluded) simulator-performance
-// experiment. The slice is freshly built on every call; callers may
-// reorder or filter it freely.
+// the suite-excluded per-kernel stats drill-down. The slice is freshly
+// built on every call; callers may reorder or filter it freely.
 func Experiments() []ExperimentSpec {
 	specs := []ExperimentSpec{
 		typedSpec("fig12", kindTitles[KindFigure12], KindFigure12, "BENCH_FIG12.json",
@@ -253,21 +252,13 @@ func Experiments() []ExperimentSpec {
 			exp.RenderKernelStats,
 			nil, nil,
 		),
-		typedSpec("simperf", simPerfTitle, KindSimPerf, "BENCH_SIMPERF.json",
-			func(ctx context.Context, _ *exp.Session, sc exp.Scale) (SimPerfReport, error) {
-				return RunSimPerf(ctx, sc)
-			},
-			SimPerfJSON,
-			renderSimPerf,
-			nil, nil,
-		),
 	)
 	return specs
 }
 
 // KindStats is the envelope kind of the per-kernel snapshot experiment.
-// Like simperf it is excluded from the deterministic suite — its payload
-// is a drill-down artifact, not one of the paper's figures — so it is
+// It is the one experiment excluded from the suite — its payload is a
+// drill-down artifact, not one of the paper's figures — so it is
 // produced only on explicit request (sfence-bench stats).
 const KindStats = "stats"
 
@@ -297,17 +288,4 @@ func LookupExperiment(id string) (ExperimentSpec, error) {
 		}
 	}
 	return ExperimentSpec{}, &ErrUnknownExperiment{ID: id, Valid: ExperimentIDs()}
-}
-
-// renderSimPerf formats the simulator-performance report.
-func renderSimPerf(rep SimPerfReport) string {
-	var sb strings.Builder
-	sb.WriteString(simPerfTitle + "\n")
-	sb.WriteString(fmt.Sprintf("%-14s%-12s%12s%14s%14s%9s\n",
-		"bench", "mode", "simcycles", "naive cyc/s", "event cyc/s", "speedup"))
-	for _, r := range rep.Rows {
-		sb.WriteString(fmt.Sprintf("%-14s%-12s%12d%14.0f%14.0f%8.2fx\n",
-			r.Bench, r.Mode, r.SimCycles, r.NaiveCyclesPerSec, r.EventCyclesPerSec, r.Speedup))
-	}
-	return sb.String()
 }

@@ -377,8 +377,8 @@ func (s *Suite) ExperimentsMD() string {
 		"event-driven clock reproduces naive per-cycle stepping bit-for-bit on these " +
 		"kernels at 64, 65 and 256 cores (the clock-equivalence tests assert it), even " +
 		"though it parks the straggler variant's spinning cores through the barrier " +
-		"tail. Wall-clock measurements of the simulator itself live in " +
-		"`BENCH_SIMPERF.json`.\n\n")
+		"tail. Wall-clock measurements of the simulator itself come from " +
+		"`bash bench/run.sh`.\n\n")
 	section(kindTitles[KindHeatmap], exp.RenderHeatmap(s.Heatmap))
 	sb.WriteString("The heatmap breaks each benchmark's fence stall down per static fence site " +
 		"(the `FenceProfile` plumbing), showing *which* fences the scoped semantics rescue: " +

@@ -18,20 +18,21 @@ import (
 
 	"sfence/internal/exp"
 	"sfence/internal/kernels"
-	"sfence/internal/machine"
 )
 
 // SchemaVersion is bumped whenever the JSON layout of envelopes or cached
 // run records changes incompatibly; readers must reject other versions.
-// v2: SimPerfRow grew per-kernel spin accounting (spinJumps,
-// spinSkippedCycles) and the simperf suite covers every Table IV kernel.
+// v2: the simulator-performance payload grew per-kernel spin accounting
+// and covered every Table IV kernel.
 // v3: the cache key ignores machine.Config.Parallel (simulated results
 // are worker-invariant), new fig-cores and fig-heatmap artifacts, and
-// SimPerfRow grew the parallel-runner block (workers, wall-clock
-// speedup, epoch accounting). Deleting that runner removed the block
-// and the Parallel field again; records and envelopes only lost fields,
-// so the version stands, and old disk records simply miss on the
-// changed cache keys.
+// the simulator-performance payload grew the parallel-runner block.
+// Deleting that runner removed the block and the Parallel field again;
+// records and envelopes only lost fields, so the version stands, and old
+// disk records simply miss on the changed cache keys. The
+// simulator-performance artifact and its envelope kind are gone as well
+// (bench/ measures wall clock now); no other envelope changed, so the
+// version still stands.
 const SchemaVersion = 3
 
 // Paper identifies the reproduced paper in every envelope.
@@ -187,16 +188,6 @@ func HeatmapJSON(rows []exp.HeatmapRow, sc exp.Scale) ([]byte, error) {
 // AblationsJSON renders the combined ablation artifact.
 func AblationsJSON(sets []AblationSet, sc exp.Scale) ([]byte, error) {
 	return Marshal(NewEnvelope(KindAblations, kindTitles[KindAblations], sc, sets))
-}
-
-// TableIIIJSON renders the architectural-parameter artifact.
-func TableIIIJSON(cfg machine.Config, sc exp.Scale) ([]byte, error) {
-	return Marshal(NewEnvelope(KindTableIII, kindTitles[KindTableIII], sc, exp.TableIII(cfg)))
-}
-
-// TableIVJSON renders the benchmark-description artifact.
-func TableIVJSON(sc exp.Scale) ([]byte, error) {
-	return Marshal(NewEnvelope(KindTableIV, kindTitles[KindTableIV], sc, TableIVInfos()))
 }
 
 // HardwareCostJSON renders the Section VI-E cost-model artifact.

@@ -3,6 +3,7 @@ package results
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,6 +203,34 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res1, res3) {
 		t.Error("re-simulated result diverged")
+	}
+}
+
+// A failed simulation is never cached, in memory or on disk, even when
+// the runner returns the failed run's populated Result next to the error
+// (as a failed kernel Verify does): the next request simulates again.
+func TestCacheNeverStoresFailedRun(t *testing.T) {
+	c, err := NewRunCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errVerify := errors.New("verification failed")
+	calls := 0
+	run := c.Runner(func(context.Context, string, kernels.Options, machine.Config) (kernels.Result, error) {
+		calls++
+		return kernels.Result{Cycles: 1234}, errVerify
+	})
+	opts := kernels.Options{Mode: kernels.Traditional, Threads: 2, Ops: 5, Workload: 1}
+	for i := 0; i < 2; i++ {
+		if _, err := run(context.Background(), "dekker", opts, machine.DefaultConfig()); !errors.Is(err, errVerify) {
+			t.Fatalf("run %d: error %v, want %v", i, err, errVerify)
+		}
+	}
+	if calls != 2 {
+		t.Errorf("runner called %d times, want 2 (a failed run must not be served from the cache)", calls)
+	}
+	if files, _ := filepath.Glob(filepath.Join(c.dir, "run_*.json")); len(files) != 0 {
+		t.Errorf("failed run persisted: %v", files)
 	}
 }
 

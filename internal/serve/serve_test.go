@@ -674,6 +674,13 @@ func TestServeUnknownFieldSubmit(t *testing.T) {
 	submitRejected(t, `{"experiment":"table4","workers":2}`, http.StatusBadRequest, `"workers"`)
 }
 
+// TestServeRetiredExperimentSubmit submits the retired simperf
+// experiment (wall-clock timing moved to the bench/ module): the server
+// must answer 400 with the unknown-experiment error, not run anything.
+func TestServeRetiredExperimentSubmit(t *testing.T) {
+	submitRejected(t, `{"experiment":"simperf"}`, http.StatusBadRequest, `unknown experiment "simperf"`)
+}
+
 // FuzzSubmit feeds arbitrary bodies to POST /v1/jobs. Whatever the body,
 // the handler must not panic and must answer 202, 400, 413 or 503. Each
 // input gets a fresh server whose runner blocks until the server closes,

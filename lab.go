@@ -26,7 +26,7 @@ import (
 //	res, err := lab.Run(ctx, "fig12")
 //
 // Every experiment is identified by a stable ID from Experiments()
-// ("fig12", "table4", "ablation/fsb-entries", "simperf", ...); an unknown
+// ("fig12", "table4", "ablation/fsb-entries", "stats", ...); an unknown
 // ID returns an *ErrUnknownExperiment listing the valid IDs. The context
 // passed to Run and RunSuite cancels or time-boxes the simulations
 // mid-cycle-loop (see Machine.Run).
@@ -129,8 +129,8 @@ type ExperimentResult struct {
 	Scale Scale
 	// Data is the experiment's structured payload; its concrete type is
 	// the one the corresponding typed API returns (e.g. []SpeedupSeries
-	// for "fig12", AblationSet for "ablation/*", SimPerfReport for
-	// "simperf").
+	// for "fig12", AblationSet for "ablation/*", HardwareCostReport for
+	// "hwcost").
 	Data any
 }
 
@@ -151,7 +151,7 @@ type ErrUnknownExperiment = results.ErrUnknownExperiment
 
 // Experiments returns the uniform experiment registry keyed by stable
 // IDs ("fig12" ... "fig16", "ablation/<name>", "table3", "table4",
-// "hwcost", "simperf"). RunSuite, sfence-report, and sfence-bench all
+// "hwcost", "stats"). RunSuite, sfence-report, and sfence-bench all
 // iterate this one table instead of hand-listing entry points.
 func Experiments() []ExperimentSpec { return results.Experiments() }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sfence"
+	"sfence/internal/results"
 )
 
 // TestTwoLabsConcurrentSuites runs the full Quick suite in two Labs with
@@ -222,7 +223,7 @@ func TestLabRunUnknownExperiment(t *testing.T) {
 	if len(unknown.Valid) != len(sfence.ExperimentIDs()) {
 		t.Errorf("error lists %d IDs, registry has %d", len(unknown.Valid), len(sfence.ExperimentIDs()))
 	}
-	for _, want := range []string{"fig12", "table4", "ablation/fsb-entries", "simperf"} {
+	for _, want := range []string{"fig12", "table4", "ablation/fsb-entries", "stats"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error message does not name %q: %v", want, err)
 		}
@@ -230,7 +231,7 @@ func TestLabRunUnknownExperiment(t *testing.T) {
 }
 
 // TestExperimentRegistryComplete pins the registry contents: every
-// figure, every ablation, the tables, the cost model, and simperf, each
+// figure, every ablation, the tables, the cost model, and stats, each
 // self-describing (runnable, encodable, renderable).
 func TestExperimentRegistryComplete(t *testing.T) {
 	specs := sfence.Experiments()
@@ -247,7 +248,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"ablation/fsb-entries", "ablation/fss-depth", "ablation/store-buffer",
 		"ablation/fifo-store-buffer", "ablation/finer-fences",
 		"ablation/nested-scopes", "ablation/fss-recovery",
-		"table3", "table4", "hwcost", "stats", "simperf",
+		"table3", "table4", "hwcost", "stats",
 	}
 	if len(specs) != len(want) {
 		t.Errorf("registry has %d specs, want %d", len(specs), len(want))
@@ -256,9 +257,6 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		if _, ok := byID[id]; !ok {
 			t.Errorf("registry missing %s", id)
 		}
-	}
-	if byID["simperf"].InSuite() {
-		t.Error("simperf must be excluded from the deterministic suite")
 	}
 	if byID["stats"].InSuite() {
 		t.Error("stats must be excluded from the deterministic suite (it is a drill-down artifact, not a paper figure)")
@@ -289,7 +287,7 @@ func TestLabRunArtifactEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sfence.HardwareCostJSON(sfence.HardwareCost(sfence.DefaultConfig().Core), sfence.Quick)
+	want, err := results.HardwareCostJSON(sfence.HardwareCost(sfence.DefaultConfig().Core), sfence.Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,11 +310,6 @@ type (
 	BaselineChange = results.BaselineChange
 	// ResultClaim is one machine-checkable paper claim.
 	ResultClaim = results.Claim
-	// SimPerfReport is the simulator-performance artifact payload:
-	// naive per-cycle stepping vs. the event-driven clock.
-	SimPerfReport = results.SimPerfReport
-	// SimPerfRow is one workload's clock comparison.
-	SimPerfRow = results.SimPerfRow
 	// ExperimentRunner executes one benchmark configuration for a Lab
 	// session (see WithRunner; RunCache.Run is the memoizing runner).
 	ExperimentRunner = exp.Runner
@@ -356,38 +351,6 @@ func PaperClaims() []ResultClaim { return results.Claims() }
 // (sfence-bench, sfence-report, RunSuite) emits identical artifact
 // identities.
 func AblationSpecs() []AblationSpecEntry { return results.AblationSpecs() }
-
-// RunSimPerf measures the simulator itself: every tracked workload is run
-// under naive per-cycle stepping and under the event-driven clock,
-// asserted bit-identical, and timed (the BENCH_SIMPERF.json payload).
-func RunSimPerf(ctx context.Context, sc Scale) (SimPerfReport, error) {
-	return results.RunSimPerf(ctx, sc)
-}
-
-// JSON artifact encoders.
-var (
-	Figure12JSON     = results.Figure12JSON
-	GroupsJSON       = results.GroupsJSON
-	AblationsJSON    = results.AblationsJSON
-	TableIIIJSON     = results.TableIIIJSON
-	TableIVJSON      = results.TableIVJSON
-	HardwareCostJSON = results.HardwareCostJSON
-	SimPerfJSON      = results.SimPerfJSON
-)
-
-// Envelope kinds for the JSON artifact encoders.
-const (
-	KindFigure12     = results.KindFigure12
-	KindFigure13     = results.KindFigure13
-	KindFigure14     = results.KindFigure14
-	KindFigure15     = results.KindFigure15
-	KindFigure16     = results.KindFigure16
-	KindFigureDepth  = results.KindFigureDepth
-	KindAblations    = results.KindAblations
-	KindTableIII     = results.KindTableIII
-	KindTableIV      = results.KindTableIV
-	KindHardwareCost = results.KindHardwareCost
-)
 
 // Generated-scenario differential checking (see DESIGN.md, "Differential
 // fuzzing"). CheckGenerated is the library entry behind the
