@@ -141,9 +141,10 @@ func main() {
 }
 
 // printBaselineChanges summarizes what this run changed relative to the
-// artifacts already on disk. Changed artifacts list their first few
-// leaf-level value deltas (full paths into the JSON document); a clean
-// regeneration prints a single "all N artifacts unchanged" line — the
+// artifacts and EXPERIMENTS.md already on disk. Changed artifacts list
+// their first few leaf-level value deltas (full paths into the JSON
+// document), a changed EXPERIMENTS.md its count of differing lines; a
+// clean regeneration prints a single "all N files unchanged" line — the
 // byte-stability the warm-cache CI smoke relies on, now legible per run.
 func printBaselineChanges(changes []sfence.BaselineChange) {
 	const maxDeltas = 4
@@ -158,6 +159,14 @@ func printBaselineChanges(changes []sfence.BaselineChange) {
 			fmt.Printf("baseline: %s new (no committed artifact)\n", c.Artifact)
 			continue
 		}
+		if c.Lines > 0 {
+			noun := "lines"
+			if c.Lines == 1 {
+				noun = "line"
+			}
+			fmt.Printf("baseline: %s changed (%d %s)\n", c.Artifact, c.Lines, noun)
+			continue
+		}
 		fmt.Printf("baseline: %s changed (%d values)\n", c.Artifact, len(c.Deltas))
 		for i, d := range c.Deltas {
 			if i == maxDeltas {
@@ -168,9 +177,9 @@ func printBaselineChanges(changes []sfence.BaselineChange) {
 		}
 	}
 	if unchanged == len(changes) {
-		fmt.Printf("baseline: all %d artifacts unchanged\n", unchanged)
+		fmt.Printf("baseline: all %d files unchanged\n", unchanged)
 	} else {
-		fmt.Printf("baseline: %d unchanged, %d changed, %d new of %d artifacts\n",
+		fmt.Printf("baseline: %d unchanged, %d changed, %d new of %d files\n",
 			unchanged, len(changes)-unchanged-fresh, fresh, len(changes))
 	}
 }

@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +30,7 @@ import (
 	"strings"
 
 	"sfence"
+	"sfence/internal/results"
 )
 
 func main() {
@@ -165,9 +165,11 @@ func main() {
 		verdict = "FAILED"
 	}
 	if *statsJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res.Snapshot); err != nil {
+		data, err := results.Marshal(res.Snapshot)
+		if err == nil {
+			_, err = os.Stdout.Write(data)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

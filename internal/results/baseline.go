@@ -7,34 +7,43 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"sfence/internal/stats"
 )
 
-// BaselineChange summarizes one artifact's drift against the committed
-// baseline file of the same name.
+// BaselineChange summarizes one generated file's drift against the
+// committed baseline file of the same name.
 type BaselineChange struct {
+	// Artifact names the file: a BENCH_*.json artifact or EXPERIMENTS.md.
 	Artifact string
 	// Status is "unchanged", "changed", or "new" (no baseline file).
 	Status string
-	// Deltas lists the leaf-level value changes for a "changed"
+	// Deltas lists the leaf-level value changes for a "changed" JSON
 	// artifact: every numeric leaf of the JSON document, addressed by
 	// path ("data.groups[0].bars[2].total"), diffed via
 	// stats.Snapshot.Diff.
 	Deltas []stats.Delta
+	// Lines counts the differing lines of a "changed" EXPERIMENTS.md:
+	// the larger of the lines a line diff removes and adds, so one
+	// reworded sentence counts 1.
+	Lines int
 }
 
-// DiffBaseline renders the suite's artifacts and compares each against
-// the file already in dir — the committed baseline when dir is the repo
-// root. Nothing is written; the result says exactly what a subsequent
-// WriteArtifacts(dir) would change. Byte-identical artifacts report
-// "unchanged"; otherwise the two documents are flattened into synthetic
-// snapshots (one sample per numeric leaf) and diffed.
+// DiffBaseline renders the suite's artifacts and EXPERIMENTS.md and
+// compares each against the file already in dir — the committed
+// baseline when dir is the repo root. Nothing is written; the result
+// says exactly what a subsequent WriteArtifacts(dir) and EXPERIMENTS.md
+// rewrite would change. Byte-identical files report "unchanged";
+// otherwise two JSON documents are flattened into synthetic snapshots
+// (one sample per numeric leaf) and diffed, and two EXPERIMENTS.md
+// texts are diffed line by line.
 func (s *Suite) DiffBaseline(dir string) ([]BaselineChange, error) {
 	arts, err := s.Artifacts()
 	if err != nil {
 		return nil, err
 	}
+	arts = append(arts, Artifact{Name: "EXPERIMENTS.md", Data: []byte(s.ExperimentsMD())})
 	out := make([]BaselineChange, 0, len(arts))
 	for _, a := range arts {
 		c := BaselineChange{Artifact: a.Name}
@@ -46,6 +55,9 @@ func (s *Suite) DiffBaseline(dir string) ([]BaselineChange, error) {
 			return nil, fmt.Errorf("results: baseline %s: %w", a.Name, err)
 		case string(old) == string(a.Data):
 			c.Status = "unchanged"
+		case filepath.Ext(a.Name) == ".md":
+			c.Status = "changed"
+			c.Lines = changedLines(old, a.Data)
 		default:
 			c.Status = "changed"
 			c.Deltas = flattenJSON(a.Data).Diff(flattenJSON(old))
@@ -53,6 +65,30 @@ func (s *Suite) DiffBaseline(dir string) ([]BaselineChange, error) {
 		out = append(out, c)
 	}
 	return out, nil
+}
+
+// changedLines counts the lines that differ between two texts: the
+// larger of the lines a line diff of before against after removes and adds,
+// with the common lines found as their longest common subsequence.
+func changedLines(before, after []byte) int {
+	a := strings.Split(string(before), "\n")
+	b := strings.Split(string(after), "\n")
+	// lcs[j] is the common subsequence length of a[:i] and b[:j], row i
+	// overwritten in place by row i+1.
+	lcs := make([]int, len(b)+1)
+	for i := range a {
+		diag := 0
+		for j := range b {
+			up := lcs[j+1]
+			if a[i] == b[j] {
+				lcs[j+1] = diag + 1
+			} else if lcs[j] > up {
+				lcs[j+1] = lcs[j]
+			}
+			diag = up
+		}
+	}
+	return max(len(a), len(b)) - lcs[len(b)]
 }
 
 // flattenJSON decodes a JSON document into a synthetic snapshot with one

@@ -1,7 +1,12 @@
 package results
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"sfence/internal/exp"
 )
 
 func TestFlattenJSONDiff(t *testing.T) {
@@ -36,4 +41,52 @@ func TestFlattenJSONUnparseable(t *testing.T) {
 	if len(ds) == 0 {
 		t.Error("corrupt baseline vs valid document produced no deltas")
 	}
+}
+
+// TestDiffBaselineExperimentsMD checks that EXPERIMENTS.md is compared
+// with the artifacts: unchanged when byte-equal, one differing line when
+// one sentence of the baseline was reworded, new when it is missing.
+func TestDiffBaselineExperimentsMD(t *testing.T) {
+	s := &Suite{Scale: exp.Quick}
+	dir := t.TempDir()
+	if _, err := s.WriteArtifacts(dir); err != nil {
+		t.Fatal(err)
+	}
+	md := filepath.Join(dir, "EXPERIMENTS.md")
+	text := s.ExperimentsMD()
+	status := func(want string, wantLines int) {
+		t.Helper()
+		changes, err := s.DiffBaseline(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range changes {
+			if c.Artifact != "EXPERIMENTS.md" {
+				if c.Status != "unchanged" {
+					t.Errorf("%s: %s, want unchanged", c.Artifact, c.Status)
+				}
+				continue
+			}
+			if c.Status != want || c.Lines != wantLines {
+				t.Errorf("EXPERIMENTS.md: %s with %d lines, want %s with %d", c.Status, c.Lines, want, wantLines)
+			}
+			return
+		}
+		t.Error("DiffBaseline did not compare EXPERIMENTS.md")
+	}
+
+	status("new", 0)
+	if err := os.WriteFile(md, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status("unchanged", 0)
+	const sentence = "Regenerate this file and the `BENCH_*.json` artifacts with:"
+	if !strings.Contains(text, sentence) {
+		t.Fatalf("EXPERIMENTS.md lacks the sentence %q", sentence)
+	}
+	reworded := strings.Replace(text, sentence, "Regenerate everything with:", 1)
+	if err := os.WriteFile(md, []byte(reworded), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status("changed", 1)
 }

@@ -12,7 +12,6 @@
 package results
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -62,17 +61,16 @@ func NewEnvelope[T any](kind, title string, sc exp.Scale, data T) Envelope[T] {
 	}
 }
 
-// Marshal renders v as indented JSON with a trailing newline. The output
-// is deterministic for a given value, so artifacts regenerated from
-// identical measurements are byte-identical.
+// Marshal renders v as indented JSON with a trailing newline: the bytes a
+// json.Encoder with SetIndent("", "  ") writes, HTML escapes included.
+// The output is deterministic for a given value, so artifacts
+// regenerated from identical measurements are byte-identical.
 func Marshal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	compact, err := json.Marshal(v)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return indent(compact), nil
 }
 
 // Unmarshal decodes an envelope previously produced by Marshal, rejecting

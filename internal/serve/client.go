@@ -171,8 +171,25 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 		return nil, apiError(resp)
 	}
 	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	// A known length reads into one buffer of that size instead of
+	// growing one from 512 bytes; a length above the cap is not trusted
+	// to size an allocation.
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxPresize {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: read result: %w", err)
+	}
+	return data, nil
 }
+
+// maxPresize caps the buffer Result allocates up front from a response's
+// Content-Length.
+const maxPresize = 64 << 20
 
 // Run is the convenience round trip: submit the job, follow its event
 // stream (fn may be nil) until it terminates, and fetch the envelope.

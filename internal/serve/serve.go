@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,7 +255,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, code, data)
+}
+
+// writeBody sends a JSON body with its Content-Length, so the client
+// can read it into a buffer of the right size.
+func writeBody(w http.ResponseWriter, code int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(code)
 	w.Write(data)
 }
@@ -429,8 +437,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch state {
 	case StateDone:
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(result)
+		writeBody(w, http.StatusOK, result)
 	case StateFailed:
 		writeError(w, http.StatusInternalServerError, errMsg)
 	case StateCanceled:

@@ -304,9 +304,10 @@ type (
 	AblationSpecEntry = results.AblationSpec
 	// ResultArtifact is one named BENCH_*.json file.
 	ResultArtifact = results.Artifact
-	// BaselineChange is one artifact's drift against the committed
-	// baseline (see Suite.DiffBaseline), with leaf-level value deltas
-	// computed by the stats snapshot differ.
+	// BaselineChange is one artifact's or EXPERIMENTS.md's drift against
+	// the committed baseline (see Suite.DiffBaseline): leaf-level value
+	// deltas computed by the stats snapshot differ for an artifact, a
+	// count of differing lines for EXPERIMENTS.md.
 	BaselineChange = results.BaselineChange
 	// ResultClaim is one machine-checkable paper claim.
 	ResultClaim = results.Claim
