@@ -8,7 +8,9 @@
 //
 // All jobs share one content-addressed run cache, so identical requests
 // across tenants coalesce to a single simulation; -cache-max-bytes bounds
-// the disk tier with LRU eviction. SIGINT/SIGTERM drains gracefully:
+// the disk tier with LRU eviction. With the cache, a repeat of a finished
+// (experiment, scale) job is answered from the first job's envelope
+// without running a session. SIGINT/SIGTERM drains gracefully:
 // submits are refused with 503 while queued and running jobs finish
 // (up to -drain-timeout, after which they are cancelled mid-cycle-loop).
 //
@@ -47,7 +49,7 @@ func main() {
 		addr          = flag.String("addr", ":8080", "listen address")
 		scaleName     = flag.String("scale", "quick", `default experiment scale for jobs that name none ("quick" or "full")`)
 		cacheDir      = flag.String("cache", ".sfence-cache", "shared run-cache directory")
-		noCache       = flag.Bool("no-cache", false, "disable the shared run cache")
+		noCache       = flag.Bool("no-cache", false, "disable the shared run cache and the envelope memo: every job simulates")
 		cacheMaxBytes = flag.Int64("cache-max-bytes", 0, "disk-tier byte budget, LRU-evicted (0 = unbounded)")
 		jobs          = flag.Int("jobs", 0, "worker-pool width: max concurrently running jobs (0 = GOMAXPROCS)")
 		queueDepth    = flag.Int("queue", 16, "bounded queue depth for accepted-but-not-running jobs")

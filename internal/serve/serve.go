@@ -13,7 +13,9 @@
 // tenants coalesce to a single simulation and repeats are served from
 // cache; a bounded cache (NewRunCacheLimited) evicts least-recently-used
 // disk records under byte pressure without ever touching an in-flight
-// coalesced load.
+// coalesced load. With a cache, the server also keeps the envelope of
+// each (experiment, scale) pair's first successful job, and a repeat
+// job's worker answers from it without running a session.
 //
 // Endpoints:
 //
@@ -24,7 +26,7 @@
 //	GET    /v1/jobs/{id}/result  the BENCH envelope (409 until done)
 //	GET    /v1/experiments       the registry specs
 //	GET    /healthz              "ok", or 503 while draining
-//	GET    /statsz               stats-registry snapshot: queue depth, job and cache counters
+//	GET    /statsz               stats-registry snapshot: queue depth, job, cache and envelope-memo counters
 package serve
 
 import (
@@ -47,7 +49,12 @@ import (
 // Options configure a Server.
 type Options struct {
 	// Cache is the shared run cache every job's session memoizes
-	// through; nil serves every job by direct simulation.
+	// through; nil serves every job by direct simulation. A cache also
+	// turns on the envelope memo: the first job of each (experiment,
+	// scale) pair to finish done leaves its envelope there, and a later
+	// job of the same pair is answered from it when a worker takes it
+	// off the queue, with the state events queued, running, done and no
+	// progress events.
 	Cache *results.RunCache
 	// Scale is the default experiment sizing for jobs that do not name
 	// one (exp.Quick or exp.Full).
@@ -63,7 +70,10 @@ type Options struct {
 	MaxJobTimeout time.Duration
 	// WrapRunner, when non-nil, wraps every job's fully composed runner
 	// (simulation + cache). It exists for tests — fault injection and
-	// deterministic pool-saturation — and for extra instrumentation.
+	// deterministic pool-saturation — and for extra instrumentation. A
+	// wrapper may time, count or fail runs but must not alter a result:
+	// with a Cache, a successful job's envelope is memoized and served to
+	// every later job of the same experiment and scale.
 	WrapRunner func(exp.Runner) exp.Runner
 }
 
@@ -74,6 +84,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	cache *results.RunCache
+	memo  *envelopeMemo // nil without a cache
 	mux   *http.ServeMux
 	reg   *stats.Registry
 
@@ -118,6 +129,9 @@ func NewServer(opts Options) *Server {
 		queue:      make(chan *job, opts.QueueDepth),
 		jobs:       make(map[string]*job),
 	}
+	if opts.Cache != nil {
+		s.memo = &envelopeMemo{entries: make(map[envelopeKey][]byte)}
+	}
 	s.reg = s.buildRegistry()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -147,8 +161,9 @@ func (s *Server) StatsRegistry() *stats.Registry { return s.reg }
 func (s *Server) Workers() int { return s.opts.Workers }
 
 // buildRegistry registers the service counters. Everything is a Derived
-// closure over atomics (or the cache's own counters), so snapshots are
-// safe against the worker pool's concurrent increments.
+// closure over atomics (or the cache's own counters, or the envelope
+// memo's under its lock), so snapshots are safe against the worker
+// pool's concurrent increments.
 func (s *Server) buildRegistry() *stats.Registry {
 	reg := stats.NewRegistry()
 	root := reg.Root().Sub("serve")
@@ -180,6 +195,17 @@ func (s *Server) buildRegistry() *stats.Registry {
 		cache.Derived("disk_bytes", "current disk-tier occupancy in bytes", stat(func(st results.CacheStats) uint64 { return uint64(st.DiskBytes) }))
 		cache.Derived("disk_entries", "current disk-tier record count", stat(func(st results.CacheStats) uint64 { return uint64(st.DiskEntries) }))
 		cache.Derived("max_disk_bytes", "disk-tier byte budget (0 = unbounded)", func() uint64 { return uint64(s.cache.MaxDiskBytes()) })
+
+		envelopes := root.Sub("envelopes")
+		envelopes.Derived("hits", "jobs answered from the envelope memo", s.memo.hits.Load)
+		envelopes.Derived("entries", "memoized envelopes, one per (experiment, scale)", func() uint64 {
+			n, _ := s.memo.size()
+			return uint64(n)
+		})
+		envelopes.Derived("bytes", "total size of the memoized envelopes", func() uint64 {
+			_, b := s.memo.size()
+			return uint64(b)
+		})
 	}
 	return reg
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,12 +85,30 @@ func waitState(t *testing.T, c *serve.Client, id, want string) serve.JobStatus {
 	}
 }
 
+// newCache returns a run cache over a fresh temporary directory.
+func newCache(t *testing.T) *results.RunCache {
+	t.Helper()
+	cache, err := sfence.NewRunCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache
+}
+
+// stat reads one counter of srv's registry.
+func stat(srv *serve.Server, name string) uint64 {
+	return srv.StatsRegistry().Snapshot().UValue(name)
+}
+
 // TestServedEnvelopeByteIdentity is the core serving contract: for every
 // suite experiment ID, the envelope served over HTTP is byte-identical to
-// the artifact a direct lab run produces — on a cold cache (the job
-// simulates) and again on a warm cache (the job is served from the shared
-// RunCache without simulating). -short keeps the simulation-free registry
-// rows plus one real sweep; the full sweep covers every suite ID.
+// the artifact a direct lab run produces. Three rounds cover the three
+// ways a job can be served: cold (the job simulates), warm (a second
+// server over the same RunCache starts with an empty envelope memo, so
+// its sessions replay the cached runs) and memo (the first server
+// answers each repeat from its envelope memo, and the run cache sees
+// nothing). -short keeps the simulation-free registry rows plus one real
+// sweep; the full sweep covers every suite ID.
 func TestServedEnvelopeByteIdentity(t *testing.T) {
 	ids := []string{"table3", "table4", "hwcost", simExperiment}
 	if !testing.Short() {
@@ -101,48 +120,53 @@ func TestServedEnvelopeByteIdentity(t *testing.T) {
 		}
 	}
 
-	cache, err := sfence.NewRunCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, client := startServer(t, serve.Options{Cache: cache, Scale: exp.Quick})
-
-	directCache, err := sfence.NewRunCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab := sfence.NewLab(sfence.WithScale(sfence.Quick), sfence.WithCache(directCache))
-
+	lab := sfence.NewLab(sfence.WithScale(sfence.Quick), sfence.WithCache(newCache(t)))
 	ctx := context.Background()
+	want := make(map[string][]byte, len(ids))
 	for _, id := range ids {
 		res, err := lab.Run(ctx, id)
 		if err != nil {
 			t.Fatalf("direct lab.Run(%s): %v", id, err)
 		}
-		want, err := res.JSON()
-		if err != nil {
+		if want[id], err = res.JSON(); err != nil {
 			t.Fatalf("direct envelope %s: %v", id, err)
 		}
-
-		cold, err := client.Run(ctx, serve.JobRequest{Experiment: id}, nil)
-		if err != nil {
-			t.Fatalf("served cold %s: %v", id, err)
-		}
-		if string(cold) != string(want) {
-			t.Errorf("%s: cold served envelope differs from direct lab.Run artifact", id)
-		}
-		warm, err := client.Run(ctx, serve.JobRequest{Experiment: id}, nil)
-		if err != nil {
-			t.Fatalf("served warm %s: %v", id, err)
-		}
-		if string(warm) != string(want) {
-			t.Errorf("%s: warm served envelope differs from direct lab.Run artifact", id)
+	}
+	serveAll := func(round string, client *serve.Client) {
+		t.Helper()
+		for _, id := range ids {
+			got, err := client.Run(ctx, serve.JobRequest{Experiment: id}, nil)
+			if err != nil {
+				t.Fatalf("served %s %s: %v", round, id, err)
+			}
+			if !bytes.Equal(got, want[id]) {
+				t.Errorf("%s: %s served envelope differs from direct lab.Run artifact", id, round)
+			}
 		}
 	}
 
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Errorf("warm round produced no cache hits: %+v", st)
+	cache := newCache(t)
+	srv, client := startServer(t, serve.Options{Cache: cache, Scale: exp.Quick})
+	serveAll("cold", client)
+
+	before := cache.Stats()
+	warmSrv, warmClient := startServer(t, serve.Options{Cache: cache, Scale: exp.Quick})
+	serveAll("warm", warmClient)
+	if st := cache.Stats(); st.Hits <= before.Hits || st.Misses != before.Misses {
+		t.Errorf("warm round: cache %+v after %+v, want more hits and no new misses", st, before)
+	}
+	if n := stat(warmSrv, "serve.envelopes.hits"); n != 0 {
+		t.Errorf("warm round: serve.envelopes.hits = %d, want 0 on a fresh server", n)
+	}
+
+	before = cache.Stats()
+	hits := stat(srv, "serve.envelopes.hits")
+	serveAll("memo", client)
+	if n := stat(srv, "serve.envelopes.hits") - hits; n != uint64(len(ids)) {
+		t.Errorf("memo round: serve.envelopes.hits rose by %d, want %d", n, len(ids))
+	}
+	if st := cache.Stats(); st != before {
+		t.Errorf("memo round reached the run cache: %+v after %+v", st, before)
 	}
 }
 
@@ -226,19 +250,17 @@ func TestServeSubmitClampsWidths(t *testing.T) {
 
 // TestServeEventStream follows one cold-cache job end to end and checks
 // the stream's shape: queued, then running, monotonic progress with live
-// simulated-cycle throughput, and a terminal done event.
+// simulated-cycle throughput, and a terminal done event. A repeat of the
+// job is answered from the envelope memo, whose stream is exactly the
+// three state events.
 func TestServeEventStream(t *testing.T) {
-	cache, err := sfence.NewRunCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, client := startServer(t, serve.Options{Cache: cache, Scale: exp.Quick})
+	_, client := startServer(t, serve.Options{Cache: newCache(t), Scale: exp.Quick})
 
 	var states []string
 	var progress []serve.Event
 	sawRunningBeforeProgress := true
 	running := false
-	err = func() error {
+	err := func() error {
 		st, err := client.Submit(context.Background(), serve.JobRequest{Experiment: simExperiment})
 		if err != nil {
 			return err
@@ -287,15 +309,30 @@ func TestServeEventStream(t *testing.T) {
 	if last.FenceStallShare < 0 || last.FenceStallShare > 1 {
 		t.Errorf("fence-stall share %v outside [0,1]", last.FenceStallShare)
 	}
+
+	var repeat []serve.Event
+	if _, err := client.Run(context.Background(), serve.JobRequest{Experiment: simExperiment}, func(ev serve.Event) error {
+		repeat = append(repeat, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range repeat {
+		got = append(got, ev.Type+":"+ev.State)
+	}
+	if want := []string{"state:queued", "state:running", "state:done"}; !slices.Equal(got, want) {
+		t.Errorf("memo-hit event stream %v, want %v", got, want)
+	}
 }
 
 // TestServeJobTimeout submits a job whose simulations block forever and a
-// tiny timeout; the job must fail with the timeout error, and the result
-// endpoint must report it.
+// tiny timeout; the job must fail with the timeout error, the result
+// endpoint must report it, and the envelope memo must stay empty.
 func TestServeJobTimeout(t *testing.T) {
 	gate := make(chan struct{}) // never closed: simulations block until timeout
 	wrap, _ := gatedRunner(gate)
-	_, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap})
+	srv, client := startServer(t, serve.Options{Cache: newCache(t), Scale: exp.Quick, WrapRunner: wrap})
 
 	st, err := client.Submit(context.Background(), serve.JobRequest{Experiment: simExperiment, TimeoutMs: 50})
 	if err != nil {
@@ -307,6 +344,9 @@ func TestServeJobTimeout(t *testing.T) {
 	}
 	if _, err := client.Result(context.Background(), st.ID); err == nil || !strings.Contains(err.Error(), "HTTP 500") {
 		t.Errorf("result of timed-out job: got %v, want HTTP 500", err)
+	}
+	if n := stat(srv, "serve.envelopes.entries"); n != 0 {
+		t.Errorf("timed-out job left %d memoized envelopes, want 0", n)
 	}
 }
 
@@ -335,12 +375,12 @@ func TestServeMaxJobTimeoutCap(t *testing.T) {
 }
 
 // TestServeCancel cancels a running job via DELETE and checks the
-// cancellation propagates into the simulations and the result endpoint
-// reports 410.
+// cancellation propagates into the simulations, the result endpoint
+// reports 410, and the envelope memo stays empty.
 func TestServeCancel(t *testing.T) {
 	gate := make(chan struct{})
 	wrap, started := gatedRunner(gate)
-	_, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap})
+	srv, client := startServer(t, serve.Options{Cache: newCache(t), Scale: exp.Quick, WrapRunner: wrap})
 
 	ctx := context.Background()
 	st, err := client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
@@ -354,6 +394,43 @@ func TestServeCancel(t *testing.T) {
 	waitState(t, client, st.ID, serve.StateCanceled)
 	if _, err := client.Result(ctx, st.ID); err == nil || !strings.Contains(err.Error(), "job canceled") {
 		t.Errorf("result of canceled job: got %v, want job-canceled error", err)
+	}
+	if n := stat(srv, "serve.envelopes.entries"); n != 0 {
+		t.Errorf("canceled job left %d memoized envelopes, want 0", n)
+	}
+}
+
+// TestServeCancelQueuedRepeat cancels a queued repeat the envelope memo
+// could answer: its worker must honour the cancellation before it looks
+// at the memo, so the job ends canceled, not done.
+func TestServeCancelQueuedRepeat(t *testing.T) {
+	gate := make(chan struct{})
+	wrap, started := gatedRunner(gate)
+	srv, client := startServer(t, serve.Options{Cache: newCache(t), Scale: exp.Quick, WrapRunner: wrap, Workers: 1})
+
+	ctx := context.Background()
+	// table4 calls no runner, so it finishes through the closed gate and
+	// leaves its envelope in the memo.
+	if _, err := client.Run(ctx, serve.JobRequest{Experiment: "table4"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	held, err := client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the one worker is held, so the repeat stays queued
+	repeat, err := client.Submit(ctx, serve.JobRequest{Experiment: "table4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Cancel(ctx, repeat.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	waitState(t, client, held.ID, serve.StateDone)
+	waitState(t, client, repeat.ID, serve.StateCanceled)
+	if n := stat(srv, "serve.envelopes.hits"); n != 0 {
+		t.Errorf("serve.envelopes.hits = %d, want 0 for a canceled repeat", n)
 	}
 }
 
@@ -395,15 +472,23 @@ func TestServeCancelOnDisconnect(t *testing.T) {
 
 // TestServeQueueFull saturates a Workers=1, QueueDepth=1 server with
 // blocked jobs and checks the third submit is rejected with 503 while
-// the first two drain to completion once unblocked.
+// the first two drain to completion once unblocked. A repeat the
+// envelope memo could answer is admitted like any other job, so it is
+// rejected too, and is served once the queue has room again.
 func TestServeQueueFull(t *testing.T) {
 	gate := make(chan struct{})
 	wrap, started := gatedRunner(gate)
 	srv, client := startServer(t, serve.Options{
-		Scale: exp.Quick, WrapRunner: wrap, Workers: 1, QueueDepth: 1,
+		Cache: newCache(t), Scale: exp.Quick, WrapRunner: wrap, Workers: 1, QueueDepth: 1,
 	})
 
 	ctx := context.Background()
+	// table4 is analytic: it calls no runner, so the closed gate does not
+	// hold it, and it leaves its envelope in the memo.
+	want, err := client.Run(ctx, serve.JobRequest{Experiment: "table4"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st1, err := client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
 	if err != nil {
 		t.Fatal(err)
@@ -417,18 +502,23 @@ func TestServeQueueFull(t *testing.T) {
 		t.Fatalf("third submit: got %v, want queue-full rejection", err)
 	}
 
+	if _, err := client.Submit(ctx, serve.JobRequest{Experiment: "table4"}); err == nil || !strings.Contains(err.Error(), "job queue full") {
+		t.Fatalf("memo-hit submit with the queue full: got %v, want queue-full rejection", err)
+	}
+
 	close(gate)
 	waitState(t, client, st1.ID, serve.StateDone)
 	waitState(t, client, st2.ID, serve.StateDone)
 
-	var rejected uint64
-	for _, s := range srv.StatsRegistry().Snapshot().Samples {
-		if s.Name == "serve.jobs.rejected" {
-			rejected = uint64(s.Value)
-		}
+	if got, err := client.Run(ctx, serve.JobRequest{Experiment: "table4"}, nil); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("memo-hit result: err %v, equal to the first table4 envelope %v", err, bytes.Equal(got, want))
 	}
-	if rejected != 1 {
-		t.Errorf("serve.jobs.rejected = %d, want 1", rejected)
+	if rejected := stat(srv, "serve.jobs.rejected"); rejected != 2 {
+		t.Errorf("serve.jobs.rejected = %d, want 2", rejected)
+	}
+	// Job 2 repeats job 1, which filled the memo before job 2 was dequeued.
+	if hits := stat(srv, "serve.envelopes.hits"); hits != 2 {
+		t.Errorf("serve.envelopes.hits = %d, want 2 (job 2 and the last table4)", hits)
 	}
 }
 
@@ -456,14 +546,20 @@ func TestServeResultBeforeDone(t *testing.T) {
 }
 
 // TestServeDrain checks graceful shutdown: during a drain, health flips
-// to 503 and submits are refused, while the in-flight job is allowed to
-// finish and Drain returns cleanly.
+// to 503 and submits are refused, a repeat the envelope memo could answer
+// included, while the in-flight job is allowed to finish and Drain
+// returns cleanly.
 func TestServeDrain(t *testing.T) {
 	gate := make(chan struct{})
 	wrap, started := gatedRunner(gate)
-	srv, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap, Workers: 1})
+	srv, client := startServer(t, serve.Options{Cache: newCache(t), Scale: exp.Quick, WrapRunner: wrap, Workers: 1})
 
 	ctx := context.Background()
+	// table4 calls no runner, so it finishes through the closed gate and
+	// leaves its envelope in the memo.
+	if _, err := client.Run(ctx, serve.JobRequest{Experiment: "table4"}, nil); err != nil {
+		t.Fatal(err)
+	}
 	st, err := client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
 	if err != nil {
 		t.Fatal(err)
@@ -523,15 +619,14 @@ func TestServeDrainDeadline(t *testing.T) {
 }
 
 // TestServeStatsz decodes the /statsz snapshot and checks the queue,
-// job, and cache gauges are present and plausible after one served job.
+// job, cache and envelope-memo gauges are present and plausible after
+// one served job.
 func TestServeStatsz(t *testing.T) {
-	cache, err := sfence.NewRunCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := newCache(t)
 	_, client := startServer(t, serve.Options{Cache: cache, Scale: exp.Quick, QueueDepth: 7})
 
-	if _, err := client.Run(context.Background(), serve.JobRequest{Experiment: simExperiment}, nil); err != nil {
+	envelope, err := client.Run(context.Background(), serve.JobRequest{Experiment: simExperiment}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -549,11 +644,14 @@ func TestServeStatsz(t *testing.T) {
 		got[s.Name] = s.Value
 	}
 	for name, want := range map[string]int64{
-		"serve.jobs.submitted":   1,
-		"serve.jobs.completed":   1,
-		"serve.queue.capacity":   7,
-		"serve.cache.misses":     int64(cache.Stats().Misses),
-		"serve.cache.disk_bytes": cache.Stats().DiskBytes,
+		"serve.jobs.submitted":    1,
+		"serve.jobs.completed":    1,
+		"serve.queue.capacity":    7,
+		"serve.cache.misses":      int64(cache.Stats().Misses),
+		"serve.cache.disk_bytes":  cache.Stats().DiskBytes,
+		"serve.envelopes.hits":    0,
+		"serve.envelopes.entries": 1,
+		"serve.envelopes.bytes":   int64(len(envelope)),
 	} {
 		if got[name] != want {
 			t.Errorf("%s = %d, want %d", name, got[name], want)
@@ -562,6 +660,63 @@ func TestServeStatsz(t *testing.T) {
 	if got["serve.cache.misses"] == 0 {
 		t.Error("cold job executed no simulations according to /statsz")
 	}
+}
+
+// TestServeEnvelopeMemo checks what keys the envelope memo and when it
+// exists. Without a cache there is no memo: a repeat job simulates again
+// and /statsz has no serve.envelopes stats. With one, quick and full are
+// separate keys, and a repeat at either scale is a hit. table4 is
+// analytic at every scale, so its full-scale job is cheap.
+func TestServeEnvelopeMemo(t *testing.T) {
+	ctx := context.Background()
+	t.Run("no cache", func(t *testing.T) {
+		var calls atomic.Int64
+		wrap := func(next exp.Runner) exp.Runner {
+			return func(ctx context.Context, bench string, opts kernels.Options, cfg machine.Config) (kernels.Result, error) {
+				calls.Add(1)
+				return next(ctx, bench, opts, cfg)
+			}
+		}
+		srv, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap})
+		first, err := client.Run(ctx, serve.JobRequest{Experiment: simExperiment}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		once := calls.Load()
+		second, err := client.Run(ctx, serve.JobRequest{Experiment: simExperiment}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if once == 0 || calls.Load() != 2*once {
+			t.Errorf("runner calls: %d for the first job, %d for both, want the repeat to run them all again", once, calls.Load())
+		}
+		if !bytes.Equal(first, second) {
+			t.Error("repeat envelope differs from the first")
+		}
+		if _, ok := srv.StatsRegistry().Snapshot().Lookup("serve.envelopes.hits"); ok {
+			t.Error("serve.envelopes.hits registered without a cache")
+		}
+	})
+	t.Run("scales", func(t *testing.T) {
+		srv, client := startServer(t, serve.Options{Cache: newCache(t), Scale: exp.Quick})
+		envs := map[string][]byte{}
+		for _, scale := range []string{"quick", "full", "quick", "full"} {
+			env, err := client.Run(ctx, serve.JobRequest{Experiment: "table4", Scale: scale}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := envs[scale]; ok && !bytes.Equal(prev, env) {
+				t.Errorf("%s: memo hit differs from the first envelope", scale)
+			}
+			envs[scale] = env
+		}
+		if bytes.Equal(envs["quick"], envs["full"]) {
+			t.Error("quick and full table4 envelopes are equal; want the scale in each")
+		}
+		if hits, entries := stat(srv, "serve.envelopes.hits"), stat(srv, "serve.envelopes.entries"); hits != 2 || entries != 2 {
+			t.Errorf("serve.envelopes.hits = %d, entries = %d, want 2 and 2", hits, entries)
+		}
+	})
 }
 
 // TestServeHealthz checks the healthy path answers 200 "ok".
@@ -707,8 +862,8 @@ func FuzzSubmit(f *testing.F) {
 
 // TestServePanicIsolation injects a panic into a job's runner, which runs
 // on the session's pool goroutines: the job must fail with the panic as
-// its error, count in serve.jobs.failed, and the server must go on to run
-// the next job.
+// its error, count in serve.jobs.failed, leave the envelope memo empty,
+// and the server must go on to run the next job, which fills it.
 func TestServePanicIsolation(t *testing.T) {
 	var armed atomic.Bool
 	armed.Store(true)
@@ -720,7 +875,7 @@ func TestServePanicIsolation(t *testing.T) {
 			return next(ctx, bench, opts, cfg)
 		}
 	}
-	srv, client := startServer(t, serve.Options{Scale: exp.Quick, WrapRunner: wrap, Workers: 1})
+	srv, client := startServer(t, serve.Options{Cache: newCache(t), Scale: exp.Quick, WrapRunner: wrap, Workers: 1})
 	ctx := context.Background()
 
 	st, err := client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
@@ -731,8 +886,11 @@ func TestServePanicIsolation(t *testing.T) {
 	if !strings.Contains(failed.Error, "injected runner panic") {
 		t.Errorf("failed job error %q, want the panic value", failed.Error)
 	}
-	if n := srv.StatsRegistry().Snapshot().UValue("serve.jobs.failed"); n != 1 {
+	if n := stat(srv, "serve.jobs.failed"); n != 1 {
 		t.Errorf("serve.jobs.failed = %d, want 1", n)
+	}
+	if n := stat(srv, "serve.envelopes.entries"); n != 0 {
+		t.Errorf("failed job left %d memoized envelopes, want 0", n)
 	}
 
 	armed.Store(false)
@@ -741,4 +899,7 @@ func TestServePanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, client, st.ID, serve.StateDone)
+	if n := stat(srv, "serve.envelopes.entries"); n != 1 {
+		t.Errorf("successful job left %d memoized envelopes, want 1", n)
+	}
 }

@@ -243,7 +243,9 @@ func TestServeMultiTenantStress(t *testing.T) {
 // tenants at once and checks the shared cache coalesced them: the number
 // of simulations actually executed equals the experiment's distinct
 // configurations (measured on a private warm-up run), and every tenant's
-// envelope is byte-identical.
+// envelope is byte-identical. A gate holds every simulation until every
+// tenant's job is running, past its worker's envelope-memo lookup, so no
+// job can finish and fill the memo first: every job reaches the cache.
 func TestServeCoalescingDedupe(t *testing.T) {
 	// Ground truth: how many distinct simulations does the experiment
 	// need, and what are its artifact bytes?
@@ -267,23 +269,46 @@ func TestServeCoalescingDedupe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(serve.Options{Cache: cache, Scale: exp.Quick, Workers: 8, QueueDepth: 64})
+	gate := make(chan struct{})
+	wrap, _ := gatedRunner(gate)
+	srv := serve.NewServer(serve.Options{Cache: cache, Scale: exp.Quick, Workers: 8, QueueDepth: 64, WrapRunner: wrap})
 	hs := httptest.NewServer(srv.Handler())
 	tr := &http.Transport{}
 	httpClient := &http.Client{Transport: tr}
 
 	const tenants = 8
-	var wg sync.WaitGroup
+	var submitted, wg sync.WaitGroup
+	ids := make([]string, tenants)
 	got := make([][]byte, tenants)
 	errs := make([]error, tenants)
 	for i := 0; i < tenants; i++ {
+		submitted.Add(1)
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
 			client := &serve.Client{BaseURL: hs.URL, HTTP: httpClient, Tenant: fmt.Sprintf("t%d", n)}
-			got[n], errs[n] = client.Run(context.Background(), serve.JobRequest{Experiment: simExperiment}, nil)
+			ctx := context.Background()
+			st, err := client.Submit(ctx, serve.JobRequest{Experiment: simExperiment})
+			ids[n] = st.ID
+			submitted.Done()
+			if err != nil {
+				errs[n] = err
+				return
+			}
+			if err := client.Events(ctx, st.ID, func(serve.Event) error { return nil }); err != nil {
+				errs[n] = err
+				return
+			}
+			got[n], errs[n] = client.Result(ctx, st.ID)
 		}(i)
 	}
+	submitted.Wait()
+	for _, id := range ids {
+		if id != "" {
+			waitState(t, &serve.Client{BaseURL: hs.URL, HTTP: httpClient}, id, serve.StateRunning)
+		}
+	}
+	close(gate)
 	wg.Wait()
 	for i := 0; i < tenants; i++ {
 		if errs[i] != nil {
@@ -300,6 +325,9 @@ func TestServeCoalescingDedupe(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Error("no cache hits across coalesced tenants")
+	}
+	if n := stat(srv, "serve.envelopes.hits"); n != 0 {
+		t.Errorf("serve.envelopes.hits = %d, want 0: a tenant skipped the cache", n)
 	}
 
 	srv.Close()
