@@ -13,9 +13,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"sfence/internal/cpu"
@@ -24,88 +22,33 @@ import (
 	"sfence/internal/litmus"
 	"sfence/internal/machine"
 	"sfence/internal/memsys"
-	"sfence/internal/stats"
 )
 
-// naiveRun drives m exactly like the pre-event-driven Run loop: one Step
-// per cycle, with Done and Fault rechecked every cycle.
-func naiveRun(t *testing.T, m *machine.Machine) int64 {
+// requireSame fails unless the two machines did the same thing (see
+// machine.Diff).
+func requireSame(t *testing.T, name string, a, b *machine.Machine) {
 	t.Helper()
-	limit := int64(machine.DefaultMaxCycles)
-	for !m.Done() {
-		if err := m.Fault(); err != nil {
-			t.Fatalf("naive run faulted: %v", err)
-		}
-		if m.Cycle() >= limit {
-			t.Fatalf("naive run exceeded %d cycles", limit)
-		}
-		m.Step()
+	if err := machine.Diff(a, b); err != nil {
+		t.Errorf("%s: %v", name, err)
 	}
-	return m.Cycle()
 }
 
-// snapshotSansClock strips the "machine.clock." subtree from a snapshot:
-// the clock accounting describes how the run was driven (slow ticks vs.
-// fast-forward jumps), so it legitimately differs between the two clocks
-// while every simulated stat must not.
-func snapshotSansClock(s stats.Snapshot) stats.Snapshot {
-	out := stats.Snapshot{Schema: s.Schema}
-	for _, smp := range s.Samples {
-		if strings.HasPrefix(smp.Name, "machine.clock.") {
-			continue
-		}
-		out.Samples = append(out.Samples, smp)
-	}
-	return out
-}
-
-// assertMachinesEqual compares every observable of the two finished runs
-// and checks that the event-driven run's slow ticks and skipped cycles
-// partition its cycles.
-func assertMachinesEqual(t *testing.T, name string, naive, event *machine.Machine, nc, ec int64) {
+// runBothClocks steps naive to completion one cycle at a time, runs event
+// on the event-driven clock, and requires the two to agree and, when k is
+// a kernel with a verifier, event's result to pass it.
+func runBothClocks(t *testing.T, name string, k *kernels.Kernel, naive, event *machine.Machine) {
 	t.Helper()
-	if nc != ec {
-		t.Fatalf("%s: cycle count diverged: naive %d, event-driven %d", name, nc, ec)
+	if err := naive.StepUntil(machine.DefaultMaxCycles); err != nil {
+		t.Fatalf("naive run: %v", err)
 	}
-	if cs := event.Clock(); cs.SlowTicks+cs.SkippedCycles != ec {
-		t.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles", name, cs.SlowTicks, cs.SkippedCycles, ec)
+	if _, err := event.Run(context.Background()); err != nil {
+		t.Fatalf("event-driven run: %v", err)
 	}
-	// Fast-forward exactness for EVERY registered stat, not just the
-	// headline counters: the full registry snapshots (per-core pipeline,
-	// S-Fence hardware, cache, and machine-total stats) must be
-	// bit-identical modulo the clock's own drive accounting.
-	sn := snapshotSansClock(naive.StatsSnapshot())
-	se := snapshotSansClock(event.StatsSnapshot())
-	if !sn.Equal(se) {
-		for i := range sn.Samples {
-			if i < len(se.Samples) && sn.Samples[i] != se.Samples[i] {
-				t.Errorf("%s: stat %s diverged: naive %+v, event %+v", name, sn.Samples[i].Name, sn.Samples[i], se.Samples[i])
-			}
+	requireSame(t, name, naive, event)
+	if k != nil && k.Verify != nil {
+		if err := k.Verify(event.Image()); err != nil {
+			t.Errorf("%s: event-driven result failed verification: %v", name, err)
 		}
-		if len(sn.Samples) != len(se.Samples) {
-			t.Errorf("%s: snapshot sizes diverged: naive %d, event %d", name, len(sn.Samples), len(se.Samples))
-		}
-	}
-	for i := 0; i < naive.Cores(); i++ {
-		cn, ce := naive.Core(i), event.Core(i)
-		if *cn.Stats() != *ce.Stats() {
-			t.Errorf("%s: core %d stats diverged:\nnaive %+v\nevent %+v", name, i, *cn.Stats(), *ce.Stats())
-		}
-		for r := 0; r < isa.NumRegs; r++ {
-			if cn.Reg(isa.Reg(r)) != ce.Reg(isa.Reg(r)) {
-				t.Errorf("%s: core %d R%d diverged: naive %d, event %d", name, i, r, cn.Reg(isa.Reg(r)), ce.Reg(isa.Reg(r)))
-			}
-		}
-		if pn, pe := cn.FenceProfile(), ce.FenceProfile(); !reflect.DeepEqual(pn, pe) {
-			t.Errorf("%s: core %d fence profile diverged:\nnaive %+v\nevent %+v", name, i, pn, pe)
-		}
-	}
-	if hn, he := naive.Hierarchy().TotalStats(), event.Hierarchy().TotalStats(); !reflect.DeepEqual(hn, he) {
-		t.Errorf("%s: hierarchy stats diverged:\nnaive %+v\nevent %+v", name, hn, he)
-	}
-	if addr, differ := naive.Image().FirstDiff(event.Image()); differ {
-		t.Errorf("%s: memory image diverged at addr %d: naive %d, event %d",
-			name, addr, naive.Image().Load(addr), event.Image().Load(addr))
 	}
 }
 
@@ -149,17 +92,7 @@ func TestClockEquivalenceKernels(t *testing.T) {
 					kN, mN := buildKernelMachine(t, bench, opts, cfg)
 					_, mE := buildKernelMachine(t, bench, opts, cfg)
 
-					nc := naiveRun(t, mN)
-					ec, err := mE.Run(context.Background())
-					if err != nil {
-						t.Fatalf("event-driven run: %v", err)
-					}
-					assertMachinesEqual(t, name, mN, mE, nc, ec)
-					if kN.Verify != nil {
-						if err := kN.Verify(mE.Image()); err != nil {
-							t.Errorf("%s: event-driven result failed verification: %v", name, err)
-						}
-					}
+					runBothClocks(t, name, kN, mN, mE)
 				})
 			}
 		}
@@ -183,17 +116,7 @@ func TestClockEquivalenceDepth3(t *testing.T) {
 				kN, mN := buildKernelMachine(t, bench, opts, cfg)
 				_, mE := buildKernelMachine(t, bench, opts, cfg)
 
-				nc := naiveRun(t, mN)
-				ec, err := mE.Run(context.Background())
-				if err != nil {
-					t.Fatalf("event-driven run: %v", err)
-				}
-				assertMachinesEqual(t, name, mN, mE, nc, ec)
-				if kN.Verify != nil {
-					if err := kN.Verify(mE.Image()); err != nil {
-						t.Errorf("%s: event-driven result failed verification: %v", name, err)
-					}
-				}
+				runBothClocks(t, name, kN, mN, mE)
 			})
 		}
 	}
@@ -230,15 +153,7 @@ func TestClockEquivalenceManyCore(t *testing.T) {
 				cfg.Cores = tc.cores
 				kN, mN := buildKernelMachine(t, tc.bench, opts, cfg)
 				_, mE := buildKernelMachine(t, tc.bench, opts, cfg)
-				nc := naiveRun(t, mN)
-				ec, err := mE.Run(context.Background())
-				if err != nil {
-					t.Fatalf("event-driven run: %v", err)
-				}
-				assertMachinesEqual(t, name, mN, mE, nc, ec)
-				if err := kN.Verify(mE.Image()); err != nil {
-					t.Errorf("%s: event-driven result failed verification: %v", name, err)
-				}
+				runBothClocks(t, name, kN, mN, mE)
 			})
 		}
 	}
@@ -277,12 +192,7 @@ func TestClockSpinForwardDepth3(t *testing.T) {
 				// spin fast path required to engage where an orbit exists.
 				_, mN := buildKernelMachine(t, tc.bench, opts, cfg)
 				_, mE := buildKernelMachine(t, tc.bench, opts, cfg)
-				nc := naiveRun(t, mN)
-				ec, err := mE.Run(context.Background())
-				if err != nil {
-					t.Fatalf("event-driven run: %v", err)
-				}
-				assertMachinesEqual(t, name, mN, mE, nc, ec)
+				runBothClocks(t, name, nil, mN, mE)
 				cs := mE.Clock()
 				if cs.SpinJumps > cs.Jumps || cs.SpinSkippedCycles > cs.SkippedCycles {
 					t.Errorf("spin accounting exceeds totals: %+v", cs)
@@ -304,7 +214,7 @@ func TestClockSpinForwardDepth3(t *testing.T) {
 				if err != nil {
 					t.Fatalf("traced run: %v", err)
 				}
-				assertMachinesEqual(t, name+"/traced", mN, mT, nc, tcyc)
+				requireSame(t, name+"/traced", mN, mT)
 				ts := mT.Clock()
 				if !ts.TracerPinned {
 					t.Errorf("traced run did not report TracerPinned: %+v", ts)
@@ -365,12 +275,7 @@ func TestClockEquivalenceLitmus(t *testing.T) {
 					return m
 				}
 				mN, mE := newMachine(), newMachine()
-				nc := naiveRun(t, mN)
-				ec, err := mE.Run(context.Background())
-				if err != nil {
-					t.Fatalf("event-driven run: %v", err)
-				}
-				assertMachinesEqual(t, name, mN, mE, nc, ec)
+				runBothClocks(t, name, nil, mN, mE)
 			})
 		}
 	}

@@ -198,7 +198,7 @@ func main() {
 			start := time.Now()
 			labOpts = append(labOpts,
 				sfence.WithRunner(func(ctx context.Context, bench string, opts sfence.BenchmarkOptions, cfg sfence.Config) (sfence.BenchmarkResult, error) {
-					res, err := sfence.RunBenchmarkContext(ctx, bench, opts, cfg)
+					res, err := sfence.RunBenchmark(ctx, bench, opts, cfg, nil)
 					if err == nil {
 						mu.Lock()
 						simCycles += res.Cycles

@@ -141,13 +141,11 @@ func main() {
 		defer cancel()
 	}
 
-	var res sfence.BenchmarkResult
-	var err error
+	var tracer sfence.Tracer
 	if *traceCyc > 0 {
-		res, err = sfence.RunBenchmarkTraced(ctx, *bench, opts, cfg, sfence.NewTextTracer(os.Stderr, *traceCyc))
-	} else {
-		res, err = sfence.RunBenchmarkContext(ctx, *bench, opts, cfg)
+		tracer = sfence.NewTextTracer(os.Stderr, *traceCyc)
 	}
+	res, err := sfence.RunBenchmark(ctx, *bench, opts, cfg, tracer)
 	// A run that fails Verify still carries its Result: print it, so the
 	// cycles and stats explain the failure, then exit 1.
 	if err != nil && res.Cycles == 0 {

@@ -61,9 +61,9 @@ func ExampleNewBuilder() {
 // measurements. Every benchmark run verifies its architectural result,
 // so a returned Result is also a correctness witness.
 func ExampleRunBenchmark() {
-	res, err := sfence.RunBenchmark("wsq", sfence.BenchmarkOptions{
+	res, err := sfence.RunBenchmark(context.Background(), "wsq", sfence.BenchmarkOptions{
 		Mode: sfence.Scoped, Threads: 4, Ops: 30, Workload: 1,
-	}, sfence.DefaultConfig())
+	}, sfence.DefaultConfig(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,8 +116,8 @@ func ExampleNewLab() {
 // experiment (lab.Run(ctx, "stats")); here a single run's snapshot is
 // read through BenchmarkResult.Snapshot.
 func ExampleLab_stats() {
-	res, err := sfence.RunBenchmarkContext(context.Background(), "dekker",
-		sfence.BenchmarkOptions{Mode: sfence.Scoped, Ops: 10}, sfence.DefaultConfig())
+	res, err := sfence.RunBenchmark(context.Background(), "dekker",
+		sfence.BenchmarkOptions{Mode: sfence.Scoped, Ops: 10}, sfence.DefaultConfig(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,9 @@ func main() {
 		var cycles [2]int64
 		var stalls [2]uint64
 		for i, mode := range []sfence.FenceMode{sfence.Traditional, sfence.Scoped} {
-			res, err := sfence.RunBenchmarkContext(ctx, "wsq", sfence.BenchmarkOptions{
+			res, err := sfence.RunBenchmark(ctx, "wsq", sfence.BenchmarkOptions{
 				Mode: mode, Threads: 4, Ops: 120, Workload: w,
-			}, cfg)
+			}, cfg, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

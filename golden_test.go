@@ -17,6 +17,7 @@
 package sfence_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -111,7 +112,7 @@ func measureGolden(t *testing.T) goldenFile {
 	for key, opts := range goldenCases() {
 		bench := key[:len(key)-len("/"+opts.Mode.String())]
 		for suffix, cfg := range configs {
-			res, err := sfence.RunBenchmark(bench, opts, cfg)
+			res, err := sfence.RunBenchmark(context.Background(), bench, opts, cfg, nil)
 			if err != nil {
 				t.Fatalf("%s%s: %v", key, suffix, err)
 			}

@@ -145,11 +145,11 @@ func TestSkippedCoreWaits(t *testing.T) {
 			prog := dozeProgram()
 			n := newTestMachine(t, prog, 0, false, tc.threads...)
 			r := newTestMachine(t, prog, 0, false, tc.threads...)
-			stepTo(n, DefaultMaxCycles)
+			n.StepUntil(DefaultMaxCycles)
 			if _, err := r.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			assertSameMachine(t, n, r)
+			requireSame(t, n, r)
 			assertSkipped(t, n, r)
 		})
 	}
@@ -182,11 +182,11 @@ func TestSkippedCoreSnooped(t *testing.T) {
 				prog := dozeProgram()
 				n := newTestMachine(t, prog, 0, true, tc.threads(d)...)
 				r := newTestMachine(t, prog, 0, true, tc.threads(d)...)
-				stepTo(n, DefaultMaxCycles)
+				n.StepUntil(DefaultMaxCycles)
 				if _, err := r.Run(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				assertSameMachine(t, n, r)
+				requireSame(t, n, r)
 				assertSkipped(t, n, r)
 				if got := r.Core(tc.reader).Stats().SpecLoadFlush.Get(); got == 0 {
 					t.Errorf("the store replayed no speculative load")
@@ -208,13 +208,13 @@ func TestSkippedCoreBudget(t *testing.T) {
 	prog := dozeProgram()
 	n := newTestMachine(t, prog, budget, false, threads...)
 	r := newTestMachine(t, prog, budget, false, threads...)
-	stepTo(n, budget)
+	n.StepUntil(budget)
 	_, err := r.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "exceeded 5000 cycles") {
 		t.Fatalf("Run returned %v, want the cycle-budget error", err)
 	}
 	assertCaughtUp(t, r)
-	assertSameMachine(t, n, r)
+	requireSame(t, n, r)
 	assertSkipped(t, n, r)
 }
 
@@ -225,8 +225,7 @@ func TestSkippedCoreFault(t *testing.T) {
 	prog := dozeProgram()
 	n := newTestMachine(t, prog, 0, false, threads...)
 	r := newTestMachine(t, prog, 0, false, threads...)
-	stepTo(n, DefaultMaxCycles)
-	if n.Fault() == nil {
+	if n.StepUntil(DefaultMaxCycles) == nil {
 		t.Fatal("naive stepping did not fault")
 	}
 	_, err := r.Run(context.Background())
@@ -234,7 +233,7 @@ func TestSkippedCoreFault(t *testing.T) {
 		t.Fatalf("Run returned %v, want the fault", err)
 	}
 	assertCaughtUp(t, r)
-	assertSameMachine(t, n, r)
+	requireSame(t, n, r)
 	assertSkipped(t, n, r)
 }
 
@@ -270,7 +269,7 @@ func TestSkippedCoreCancelled(t *testing.T) {
 	}
 	assertCaughtUp(t, r)
 	n := build()
-	stepTo(n, r.Cycle())
-	assertSameMachine(t, n, r)
+	n.StepUntil(r.Cycle())
+	requireSame(t, n, r)
 	assertSkipped(t, n, r)
 }

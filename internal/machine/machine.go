@@ -256,7 +256,8 @@ func (m *Machine) registerMachineStats(g *stats.Group) {
 	// Per-core spin accounting lives under machine.clock (not coreN.*) on
 	// purpose: spin counters describe how the clock ran, not what the
 	// simulated hardware did, and everything outside machine.clock.* must
-	// stay bit-identical between the naive and event-driven clocks.
+	// stay bit-identical between the naive and event-driven clocks (see
+	// Diff).
 	for i, c := range m.cores {
 		c := c
 		clock.Derived(fmt.Sprintf("core%d_spin_jumps", i), fmt.Sprintf("spin-forward jumps applied to core %d", i),
@@ -334,6 +335,27 @@ func (m *Machine) Core(i int) *cpu.Core { return m.cores[i] }
 // naive per-cycle reference the event-driven Run is checked against.
 func (m *Machine) Step() {
 	m.stepCycle(false)
+}
+
+// StepUntil is the naive run: it Steps the machine until every core is
+// done, a core faults, or the machine reaches cycle limit. It returns the
+// fault, or Run's cycle-budget error if cores are still running at limit.
+func (m *Machine) StepUntil(limit int64) error {
+	for !m.Done() {
+		if err := m.Fault(); err != nil {
+			return err
+		}
+		if m.cycle >= limit {
+			return exceeded(limit)
+		}
+		m.Step()
+	}
+	return nil
+}
+
+// exceeded is the error of a run stopped by its cycle budget.
+func exceeded(limit int64) error {
+	return fmt.Errorf("machine: exceeded %d cycles (livelock or runaway program?)", limit)
 }
 
 // parked is the due cycle of a core parked in a confirmed spin: no cycle
@@ -543,7 +565,7 @@ func (m *Machine) runSeq(ctx context.Context) error {
 			}
 		}
 		if m.cycle >= m.limit {
-			return fmt.Errorf("machine: exceeded %d cycles (livelock or runaway program?)", m.limit)
+			return exceeded(m.limit)
 		}
 		allDone, fault := m.stepCycle(skip)
 		if allDone {

@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -102,51 +101,12 @@ func newTestMachine(t *testing.T, prog *isa.Program, maxCycles int64, spec bool,
 	return m
 }
 
-// stepTo drives m the naive way — one Step per cycle — until every core
-// is done, a core faults, or the machine reaches cycle to.
-func stepTo(m *Machine, to int64) {
-	for !m.Done() && m.Fault() == nil && m.Cycle() < to {
-		m.Step()
-	}
-}
-
-// assertSameMachine fails unless the naively stepped machine n and the
-// Run machine r agree on everything the simulated hardware did: the
-// cycle, every registered stat outside machine.clock.*, each core's own
-// clock, registers and fence profile, the hierarchy and the memory image.
-func assertSameMachine(t *testing.T, n, r *Machine) {
+// requireSame fails unless the naively stepped machine n and the Run
+// machine r did the same thing (see Diff).
+func requireSame(t *testing.T, n, r *Machine) {
 	t.Helper()
-	if n.Cycle() != r.Cycle() {
-		t.Fatalf("cycle: naive %d, Run %d", n.Cycle(), r.Cycle())
-	}
-	sn, sr := n.StatsSnapshot(), r.StatsSnapshot()
-	for i, smp := range sn.Samples {
-		if strings.HasPrefix(smp.Name, "machine.clock.") {
-			continue
-		}
-		if smp != sr.Samples[i] {
-			t.Errorf("stat %s: naive %+v, Run %+v", smp.Name, smp, sr.Samples[i])
-		}
-	}
-	for i := 0; i < n.Cores(); i++ {
-		cn, cr := n.Core(i), r.Core(i)
-		if cn.Cycle() != cr.Cycle() {
-			t.Errorf("core %d clock: naive %d, Run %d", i, cn.Cycle(), cr.Cycle())
-		}
-		for reg := 0; reg < isa.NumRegs; reg++ {
-			if a, b := cn.Reg(isa.Reg(reg)), cr.Reg(isa.Reg(reg)); a != b {
-				t.Errorf("core %d R%d: naive %d, Run %d", i, reg, a, b)
-			}
-		}
-		if a, b := cn.FenceProfile(), cr.FenceProfile(); !reflect.DeepEqual(a, b) {
-			t.Errorf("core %d fence profile: naive %+v, Run %+v", i, a, b)
-		}
-	}
-	if a, b := n.Hierarchy().TotalStats(), r.Hierarchy().TotalStats(); !reflect.DeepEqual(a, b) {
-		t.Errorf("hierarchy stats: naive %+v, Run %+v", a, b)
-	}
-	if addr, differ := n.Image().FirstDiff(r.Image()); differ {
-		t.Errorf("image differs at %d: naive %d, Run %d", addr, n.Image().Load(addr), r.Image().Load(addr))
+	if err := Diff(n, r); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -193,11 +153,11 @@ func TestParkedSpinnerRelease(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/spec=%v/delay+%d", tc.name, spec, d), func(t *testing.T) {
 					n := newParkMachine(t, 0, spec, tc.threads(d)...)
 					r := newParkMachine(t, 0, spec, tc.threads(d)...)
-					stepTo(n, DefaultMaxCycles)
+					n.StepUntil(DefaultMaxCycles)
 					if _, err := r.Run(context.Background()); err != nil {
 						t.Fatal(err)
 					}
-					assertSameMachine(t, n, r)
+					requireSame(t, n, r)
 					if got := r.Image().Load(parkOut); got != 7 {
 						t.Errorf("spinner copied %d, want 7", got)
 					}
@@ -219,12 +179,12 @@ func TestParkedAllSpinningHitsBudget(t *testing.T) {
 	threads := []Thread{spinThread(1), spinThread(3)}
 	n := newParkMachine(t, budget, false, threads...)
 	r := newParkMachine(t, budget, false, threads...)
-	stepTo(n, budget)
+	n.StepUntil(budget)
 	_, err := r.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "exceeded 5000 cycles") {
 		t.Fatalf("Run returned %v, want the cycle-budget error", err)
 	}
-	assertSameMachine(t, n, r)
+	requireSame(t, n, r)
 	if cs := r.Clock(); cs.SpinJumps == 0 || r.Core(0).SpinSkippedCycles() == 0 {
 		t.Errorf("spinners were not parked: %+v", cs)
 	}
@@ -257,6 +217,6 @@ func TestParkedCancelledRun(t *testing.T) {
 		t.Errorf("spinner was never parked: %+v", r.Clock())
 	}
 	n := newParkMachine(t, 0, false, threads...)
-	stepTo(n, r.Cycle())
-	assertSameMachine(t, n, r)
+	n.StepUntil(r.Cycle())
+	requireSame(t, n, r)
 }

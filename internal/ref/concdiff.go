@@ -3,12 +3,10 @@ package ref
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"sfence/internal/isa"
 	"sfence/internal/machine"
 	"sfence/internal/memsys"
-	"sfence/internal/stats"
 )
 
 // concOracleMaxSteps bounds the round-robin oracle. Generated scenarios
@@ -75,70 +73,6 @@ func newConcMachine(cp *ConcProgram, v Variant, prog *isa.Program, depth int) (*
 	return m, nil
 }
 
-// naiveRunMachine drives m with per-cycle stepping (the pre-event-driven
-// loop), mirroring the naive side of the clock-equivalence suite.
-func naiveRunMachine(m *machine.Machine) (int64, error) {
-	for !m.Done() {
-		if err := m.Fault(); err != nil {
-			return m.Cycle(), err
-		}
-		if m.Cycle() >= concMaxCycles {
-			return m.Cycle(), fmt.Errorf("ref: naive run exceeded %d cycles", int64(concMaxCycles))
-		}
-		m.Step()
-	}
-	return m.Cycle(), nil
-}
-
-// snapshotSansClock strips the "machine.clock." subtree: clock accounting
-// describes how a run was driven, so it legitimately differs between the
-// naive and event-driven clocks while every simulated stat must not.
-func snapshotSansClock(s stats.Snapshot) stats.Snapshot {
-	out := stats.Snapshot{Schema: s.Schema}
-	for _, smp := range s.Samples {
-		if strings.HasPrefix(smp.Name, "machine.clock.") {
-			continue
-		}
-		out.Samples = append(out.Samples, smp)
-	}
-	return out
-}
-
-// bitIdentical asserts the naive and event-driven runs of the same
-// (variant, depth) machine are indistinguishable: same cycle count, same
-// full stats registry (modulo the clock's own drive accounting), all 64
-// registers of every core, and the entire memory image. This is the
-// clock-equivalence suite's property, promoted to a generative one.
-func bitIdentical(label string, naive, event *machine.Machine, nc, ec int64) error {
-	if nc != ec {
-		return fmt.Errorf("%s: cycle count diverged: naive %d, event-driven %d", label, nc, ec)
-	}
-	sn, se := snapshotSansClock(naive.StatsSnapshot()), snapshotSansClock(event.StatsSnapshot())
-	if !sn.Equal(se) {
-		for i := range sn.Samples {
-			if i < len(se.Samples) && sn.Samples[i] != se.Samples[i] {
-				return fmt.Errorf("%s: stat %s diverged: naive %+v, event %+v",
-					label, sn.Samples[i].Name, sn.Samples[i], se.Samples[i])
-			}
-		}
-		return fmt.Errorf("%s: stats snapshots diverged (%d vs %d samples)", label, len(sn.Samples), len(se.Samples))
-	}
-	for i := 0; i < naive.Cores(); i++ {
-		cn, ce := naive.Core(i), event.Core(i)
-		for r := 0; r < isa.NumRegs; r++ {
-			if cn.Reg(isa.Reg(r)) != ce.Reg(isa.Reg(r)) {
-				return fmt.Errorf("%s: core %d R%d diverged: naive %d, event %d",
-					label, i, r, cn.Reg(isa.Reg(r)), ce.Reg(isa.Reg(r)))
-			}
-		}
-	}
-	if addr, differ := naive.Image().FirstDiff(event.Image()); differ {
-		return fmt.Errorf("%s: image word at addr %d diverged: naive %d, event %d",
-			label, addr, naive.Image().Load(addr), event.Image().Load(addr))
-	}
-	return nil
-}
-
 // checkAgainstOracle compares the checked projection of a finished
 // machine run against the oracle's: per-thread data registers R1-R12 and
 // every word of the scenario's shared-memory footprint. Scratch registers
@@ -177,8 +111,10 @@ func checkAgainstOracle(label string, m *machine.Machine, oracle *ConcState, thr
 //  3. for every hierarchy depth in depths and every lowering — the three
 //     generated ones plus the inferred one — the full machine runs the
 //     scenario twice — naive per-cycle stepping and the two-speed
-//     event-driven clock — and the two runs must be bit-identical
-//     (cycles, full stats registry, all registers, whole image);
+//     event-driven clock — and machine.Diff must find the two runs
+//     identical (cycles, clock partition, full stats registry, per-core
+//     clocks, stats, registers and fence profiles, hierarchy stats,
+//     whole image);
 //  4. each machine run's checked projection (per-thread R1-R12 plus the
 //     scenario's memory footprint) must equal the oracle's exactly.
 //
@@ -235,25 +171,20 @@ func CheckConcurrent(seed int64, depths []int) (*ConcReport, error) {
 			if err != nil {
 				return rep, err
 			}
-			nc, err := naiveRunMachine(mN)
-			if err != nil {
+			if err := mN.StepUntil(concMaxCycles); err != nil {
 				return rep, fmt.Errorf("%s: naive run: %w", label, err)
 			}
 			ec, err := mE.Run(context.Background())
 			if err != nil {
 				return rep, fmt.Errorf("%s: event-driven run: %w", label, err)
 			}
-			if err := bitIdentical(label, mN, mE, nc, ec); err != nil {
-				return rep, err
+			if err := machine.Diff(mN, mE); err != nil {
+				return rep, fmt.Errorf("%s: naive vs event-driven: %w", label, err)
 			}
 			if err := checkAgainstOracle(label, mE, oracle, cp.NumThreads); err != nil {
 				return rep, err
 			}
 			cs := mE.Clock()
-			if cs.SlowTicks+cs.SkippedCycles != ec {
-				return rep, fmt.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles",
-					label, cs.SlowTicks, cs.SkippedCycles, ec)
-			}
 			rep.Runs = append(rep.Runs, ConcRun{
 				Variant: v, Depth: depth, Cycles: ec,
 				SlowTicks: cs.SlowTicks, SkippedCycles: cs.SkippedCycles,

@@ -66,12 +66,12 @@ func runConcurrently(t *testing.T, n int, newMachine func(i int) (*machine.Machi
 // the solo run exactly, clock accounting included.
 func checkConcurrentCopies(t *testing.T, name string, newMachine func() (*machine.Machine, error)) {
 	t.Helper()
-	refs, refCycles := runConcurrently(t, 1, func(int) (*machine.Machine, error) { return newMachine() })
-	ref, refCyc := refs[0], refCycles[0]
-	ms, cycles := runConcurrently(t, concurrentCopies, func(int) (*machine.Machine, error) { return newMachine() })
+	refs, _ := runConcurrently(t, 1, func(int) (*machine.Machine, error) { return newMachine() })
+	ref := refs[0]
+	ms, _ := runConcurrently(t, concurrentCopies, func(int) (*machine.Machine, error) { return newMachine() })
 	for i, m := range ms {
 		copyName := fmt.Sprintf("%s/copy=%d", name, i)
-		assertMachinesEqual(t, copyName, ref, m, refCyc, cycles[i])
+		requireSame(t, copyName, ref, m)
 		if rc, mc := ref.Clock(), m.Clock(); rc != mc {
 			t.Errorf("%s: clock accounting diverged: solo %+v, concurrent %+v", copyName, rc, mc)
 		}
@@ -235,7 +235,7 @@ func TestParallelTracedFallsBack(t *testing.T) {
 			continue
 		}
 		name := fmt.Sprintf("fence-drain/copy=%d", i)
-		assertMachinesEqual(t, name, ms[traced], m, cycles[traced], cycles[i])
+		requireSame(t, name, ms[traced], m)
 		if cs := m.Clock(); cs.TracerPinned || cs.Jumps == 0 {
 			t.Errorf("%s: untraced sibling of a traced machine did not fast-forward: %+v", name, cs)
 		}

@@ -14,7 +14,7 @@
 //     Lab session driving the experiment registry: NewLab,
 //     Experiments, Lab.Run, Lab.RunSuite).
 //
-// Every simulation is cancellable: Machine.Run, RunBenchmarkContext,
+// Every simulation is cancellable: Machine.Run, RunBenchmark,
 // Lab.Run, and RunSuite all take a context.Context that can cancel or
 // time-box the cycle loop.
 //
@@ -217,21 +217,10 @@ func BuildBenchmark(name string, opts BenchmarkOptions) (*kernels.Kernel, error)
 	return kernels.Build(name, opts)
 }
 
-// RunBenchmark builds, runs, and verifies a named benchmark. Use
-// RunBenchmarkContext to make the run cancellable.
-func RunBenchmark(name string, opts BenchmarkOptions, cfg Config) (BenchmarkResult, error) {
-	return RunBenchmarkContext(context.Background(), name, opts, cfg)
-}
-
-// RunBenchmarkContext is RunBenchmark with a context that cancels or
-// time-boxes the simulation mid-cycle-loop (see Machine.Run).
-func RunBenchmarkContext(ctx context.Context, name string, opts BenchmarkOptions, cfg Config) (BenchmarkResult, error) {
-	return RunBenchmarkTraced(ctx, name, opts, cfg, nil)
-}
-
-// RunBenchmarkTraced is RunBenchmarkContext with a pipeline tracer
-// attached to every core (nil disables tracing).
-func RunBenchmarkTraced(ctx context.Context, name string, opts BenchmarkOptions, cfg Config, tracer Tracer) (BenchmarkResult, error) {
+// RunBenchmark builds, runs, and verifies a named benchmark. ctx cancels
+// or time-boxes the simulation mid-cycle-loop (see Machine.Run); tracer,
+// when not nil, is attached to every core.
+func RunBenchmark(ctx context.Context, name string, opts BenchmarkOptions, cfg Config, tracer Tracer) (BenchmarkResult, error) {
 	k, err := kernels.Build(name, opts)
 	if err != nil {
 		return BenchmarkResult{}, err

@@ -74,16 +74,16 @@ func TestBenchmarksRegistryExposed(t *testing.T) {
 }
 
 func TestRunBenchmarkThroughFacade(t *testing.T) {
-	res, err := sfence.RunBenchmark("wsq", sfence.BenchmarkOptions{
+	res, err := sfence.RunBenchmark(context.Background(), "wsq", sfence.BenchmarkOptions{
 		Mode: sfence.Scoped, Threads: 4, Ops: 30, Workload: 1,
-	}, sfence.DefaultConfig())
+	}, sfence.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles <= 0 || res.Stats.CommittedFences == 0 {
 		t.Errorf("empty result: %+v", res)
 	}
-	if _, err := sfence.RunBenchmark("bogus", sfence.BenchmarkOptions{}, sfence.DefaultConfig()); err == nil {
+	if _, err := sfence.RunBenchmark(context.Background(), "bogus", sfence.BenchmarkOptions{}, sfence.DefaultConfig(), nil); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
