@@ -4,7 +4,9 @@
 // once with the two-speed Machine.Run — and the runs must be
 // bit-identical: same final cycle count, same per-core statistics and
 // registers, same fence profiles, same cache-hierarchy statistics, and
-// the same memory image. This is the safety proof the fast-forward path
+// the same memory image. The runs are also compared mid-run, where
+// event-driven runs stopped by their cycle budget must match the naive
+// run at the same cycle. This is the safety proof the fast-forward path
 // rests on: NextWakeup may be conservative, but it must never change a
 // single simulated outcome.
 package sfence_test
@@ -33,22 +35,61 @@ func requireSame(t *testing.T, name string, a, b *machine.Machine) {
 	}
 }
 
-// runBothClocks steps naive to completion one cycle at a time, runs event
-// on the event-driven clock, and requires the two to agree and, when k is
-// a kernel with a verifier, event's result to pass it.
-func runBothClocks(t *testing.T, name string, k *kernels.Kernel, naive, event *machine.Machine) {
+// runBothClocks runs a machine from build to completion on the
+// event-driven clock and steps another naively, one cycle at a time, to
+// completion, and requires the two to agree and, when verify is not nil,
+// the event-driven result to pass it. On its way the naive machine stops
+// at a third and at two thirds of the run, where it must agree with a
+// fresh machine run on the event-driven clock with that cut as its cycle
+// budget: a run stopped by its budget must leave every core caught up to
+// the cut, not only the finished ones. build makes a machine with the
+// given MaxCycles (0 for the default). It returns the event-driven machine
+// that ran to completion.
+func runBothClocks(t *testing.T, name string, verify func(*memsys.Image) error, build func(maxCycles int64) *machine.Machine) *machine.Machine {
 	t.Helper()
+	event := build(0)
+	end, err := event.Run(context.Background())
+	if err != nil {
+		t.Fatalf("event-driven run: %v", err)
+	}
+	naive := build(0)
+	for _, cut := range []int64{end / 3, 2 * end / 3} {
+		if cut == 0 {
+			continue
+		}
+		errN := naive.StepUntil(cut)
+		cutE := build(cut)
+		_, errE := cutE.Run(context.Background())
+		if errN == nil || errE == nil || errN.Error() != errE.Error() {
+			t.Fatalf("%s: runs stopped at cycle %d with %v (naive) and %v (event-driven), want the budget error", name, cut, errN, errE)
+		}
+		requireSame(t, fmt.Sprintf("%s at cycle %d", name, cut), naive, cutE)
+	}
 	if err := naive.StepUntil(machine.DefaultMaxCycles); err != nil {
 		t.Fatalf("naive run: %v", err)
 	}
-	if _, err := event.Run(context.Background()); err != nil {
-		t.Fatalf("event-driven run: %v", err)
-	}
 	requireSame(t, name, naive, event)
-	if k != nil && k.Verify != nil {
-		if err := k.Verify(event.Image()); err != nil {
+	if verify != nil {
+		if err := verify(event.Image()); err != nil {
 			t.Errorf("%s: event-driven result failed verification: %v", name, err)
 		}
+	}
+	return event
+}
+
+// kernelClocks returns bench's verifier and a builder of its machines for
+// runBothClocks.
+func kernelClocks(t *testing.T, bench string, opts kernels.Options, cfg machine.Config) (func(*memsys.Image) error, func(int64) *machine.Machine) {
+	t.Helper()
+	k, err := kernels.Build(bench, opts)
+	if err != nil {
+		t.Fatalf("build %s: %v", bench, err)
+	}
+	return k.Verify, func(maxCycles int64) *machine.Machine {
+		c := cfg
+		c.MaxCycles = maxCycles
+		_, m := buildKernelMachine(t, bench, opts, c)
+		return m
 	}
 }
 
@@ -89,10 +130,8 @@ func TestClockEquivalenceKernels(t *testing.T) {
 					opts := kernels.Options{Mode: mode, Ops: quickOps[bench], Workload: 2}
 					cfg := machine.DefaultConfig()
 					cfg.Core.InWindowSpec = spec
-					kN, mN := buildKernelMachine(t, bench, opts, cfg)
-					_, mE := buildKernelMachine(t, bench, opts, cfg)
-
-					runBothClocks(t, name, kN, mN, mE)
+					verify, build := kernelClocks(t, bench, opts, cfg)
+					runBothClocks(t, name, verify, build)
 				})
 			}
 		}
@@ -113,10 +152,8 @@ func TestClockEquivalenceDepth3(t *testing.T) {
 				opts := kernels.Options{Mode: mode, Ops: quickOps[bench], Workload: 2}
 				cfg := machine.DefaultConfig()
 				cfg.Mem = memsys.DepthConfig(3)
-				kN, mN := buildKernelMachine(t, bench, opts, cfg)
-				_, mE := buildKernelMachine(t, bench, opts, cfg)
-
-				runBothClocks(t, name, kN, mN, mE)
+				verify, build := kernelClocks(t, bench, opts, cfg)
+				runBothClocks(t, name, verify, build)
 			})
 		}
 	}
@@ -151,9 +188,8 @@ func TestClockEquivalenceManyCore(t *testing.T) {
 				opts := kernels.Options{Mode: mode, Threads: tc.cores, Ops: 2, Workload: tc.workload}
 				cfg := machine.DefaultConfig()
 				cfg.Cores = tc.cores
-				kN, mN := buildKernelMachine(t, tc.bench, opts, cfg)
-				_, mE := buildKernelMachine(t, tc.bench, opts, cfg)
-				runBothClocks(t, name, kN, mN, mE)
+				verify, build := kernelClocks(t, tc.bench, opts, cfg)
+				runBothClocks(t, name, verify, build)
 			})
 		}
 	}
@@ -190,9 +226,8 @@ func TestClockSpinForwardDepth3(t *testing.T) {
 
 				// Detached: naive vs. event-driven differential, with the
 				// spin fast path required to engage where an orbit exists.
-				_, mN := buildKernelMachine(t, tc.bench, opts, cfg)
-				_, mE := buildKernelMachine(t, tc.bench, opts, cfg)
-				runBothClocks(t, name, nil, mN, mE)
+				_, build := kernelClocks(t, tc.bench, opts, cfg)
+				mE := runBothClocks(t, name, nil, build)
 				cs := mE.Clock()
 				if cs.SpinJumps > cs.Jumps || cs.SpinSkippedCycles > cs.SkippedCycles {
 					t.Errorf("spin accounting exceeds totals: %+v", cs)
@@ -214,7 +249,7 @@ func TestClockSpinForwardDepth3(t *testing.T) {
 				if err != nil {
 					t.Fatalf("traced run: %v", err)
 				}
-				requireSame(t, name+"/traced", mN, mT)
+				requireSame(t, name+"/traced", mE, mT)
 				ts := mT.Clock()
 				if !ts.TracerPinned {
 					t.Errorf("traced run did not report TracerPinned: %+v", ts)
@@ -267,15 +302,15 @@ func TestClockEquivalenceLitmus(t *testing.T) {
 				cfg := litmus.DefaultMachineConfig()
 				tweak(&cfg)
 
-				newMachine := func() *machine.Machine {
-					m, err := machine.New(cfg, lt.Program, lt.Threads)
+				runBothClocks(t, name, nil, func(maxCycles int64) *machine.Machine {
+					c := cfg
+					c.MaxCycles = maxCycles
+					m, err := machine.New(c, lt.Program, lt.Threads)
 					if err != nil {
 						t.Fatalf("machine: %v", err)
 					}
 					return m
-				}
-				mN, mE := newMachine(), newMachine()
-				runBothClocks(t, name, nil, mN, mE)
+				})
 			})
 		}
 	}

@@ -76,6 +76,12 @@ func (c *Core) Traced() bool { return c.tracer != nil }
 // store notification to it is a guaranteed no-op.
 func (c *Core) SpecLoadsInFlight() int { return c.specLoads }
 
+// Listening reports whether a remote store can change anything here: the
+// core holds a speculative load that may replay, or its spin detector is
+// not idle and may drop its detection. Only the core's own Tick can make
+// it start listening; a delivery or a tracer attach can only stop it.
+func (c *Core) Listening() bool { return c.specLoads > 0 || c.spin.phase != spinIdle }
+
 // NextWakeup returns a conservative lower bound on the next cycle at which
 // the core's state can change: never later than the true next change,
 // possibly earlier. For an active core that is the next cycle; for a

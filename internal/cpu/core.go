@@ -34,7 +34,7 @@ type robEntry struct {
 	resolved bool // branches: outcome computed
 	faulted  bool // architectural fault if this entry commits
 
-	predTaken bool
+	predTaken bool // predicted direction; the outcome once resolved
 
 	// fence scope state
 	fsb        uint8 // fence scope bits (the paper's FSB)
@@ -630,6 +630,13 @@ func (c *Core) retireInsts() {
 			c.haltDone = true
 		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 			c.stats.Branches++
+			if e.predTaken && int(e.inst.Imm) <= e.pc {
+				c.spinLoopBack()
+			}
+		case isa.OpJmp:
+			if int(e.inst.Imm) <= e.pc {
+				c.spinLoopBack()
+			}
 		}
 		c.head++
 	}
@@ -818,7 +825,9 @@ func (c *Core) tryResolveBranch(e *robEntry, seq uint64) {
 	if taken == e.predTaken {
 		return
 	}
-	// Misprediction: squash the wrong path and redirect fetch.
+	// Misprediction: squash the wrong path and redirect fetch. From here
+	// on predTaken holds the outcome, which retirement reads.
+	e.predTaken = taken
 	c.stats.Mispredicts++
 	c.squash(seq + 1)
 	if taken {

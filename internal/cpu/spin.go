@@ -3,6 +3,7 @@ package cpu
 import (
 	"slices"
 
+	"sfence/internal/isa"
 	"sfence/internal/memsys"
 )
 
@@ -37,31 +38,9 @@ import (
 //     between the anchor and its first recurrence, so crediting k copies
 //     of the captured delta is exact for a jump of k*P cycles.
 const (
-	// spinWarmup is how many consecutive unperturbed ticks precede an
-	// anchor capture attempt. Spin phases between background perturbations
-	// (e.g. a store-buffer drain every few dozen cycles) are often short,
-	// so the warm-up is kept small; the occupancy-settle gate below is what
-	// keeps mid-transient anchors rare.
-	spinWarmup = 6
-	// spinOccSettle is how many consecutive ticks the ROB occupancy must
-	// hold constant before an anchor is captured. A refilling or draining
-	// pipeline changes occupancy almost every tick, so this single integer
-	// comparison filters out the monotone transients that a full state
-	// capture would reject anyway — at none of the capture cost.
-	spinOccSettle = 4
 	// spinWindow bounds how long an anchor waits for its recurrence; real
 	// spin loops are a handful of cycles per iteration.
 	spinWindow = 64
-	// spinRearmMax is how many times an expired window re-anchors from the
-	// current state before giving up. The first anchor after a perturbation
-	// is often mid-transient — the ROB is still refilling, so the settled
-	// orbit is a superset of it and can never match; re-anchoring from the
-	// settled state is what lets tight spin loops confirm.
-	spinRearmMax = 4
-	// Failed windows back off exponentially between attempts so
-	// non-periodic compute phases don't pay the capture cost repeatedly.
-	spinCooldownMin = 64
-	spinCooldownMax = 4096
 	// spinWatchMax bounds the watched-address set; an orbit touching more
 	// distinct Image words than this treats every remote store as a hit.
 	spinWatchMax = 8
@@ -69,8 +48,7 @@ const (
 
 // Spin-detector phases.
 const (
-	spinIdle      uint8 = iota // counting stable ticks
-	spinPending                // cheap gate quad recorded, awaiting its recurrence
+	spinIdle      uint8 = iota // waiting for a quiet loop; no work per tick
 	spinArmed                  // anchor captured, awaiting recurrence
 	spinConfirmed              // periodic orbit proven; jumps allowed
 )
@@ -84,24 +62,25 @@ type spinSiteDelta struct {
 // spinState is the per-core detector.
 type spinState struct {
 	phase    uint8
-	stable   int64 // consecutive unperturbed ticks
-	cooldown int64 // extra stable ticks required before the next arm
-	rearms   int   // consecutive expired windows re-anchored in place
 	armTicks int64 // observed ticks since the anchor was captured
 
+	// quiet is set when a quiet loop iteration retires (see spinLoopBack)
+	// and arms an idle detector at the end of the tick. loopStores and
+	// loopRegs are CommittedStores and the register file at the last taken
+	// backward branch.
+	quiet      bool
+	loopStores uint64
+	loopRegs   [isa.NumRegs]int64
+
 	// events counts core-local perturbations (squash, snoop batch, store
-	// drain, CAS commit); the seen* fields are the values at the last
-	// spinObserve, so any advance is detected exactly once.
+	// drain, CAS commit). The seen* fields are the values at the last
+	// spinObserve, so any advance is detected exactly once; while the
+	// detector is idle they are the values at the last taken backward
+	// branch instead.
 	events     uint64
 	seenEvents uint64
 	seenMem    uint64 // memsys.CoreVersion at last observe
 	seenPred   uint64 // predictor version at last observe
-
-	// lastOcc/occStable track how long the ROB occupancy has been
-	// constant; anchors are only captured against a settled pipeline.
-	lastOcc   uint64
-	occStable int64
-	growTicks int64 // consecutive armed ticks with occupancy above the anchor
 
 	anchorAt  int64
 	anchorPC  int    // fetchPC at the anchor — cheap recurrence prefilter
@@ -130,16 +109,32 @@ type spinState struct {
 	dMem   memsys.CoreStats
 	dSites []spinSiteDelta
 
-	jumps   uint64
-	skipped uint64
+	jumps    uint64
+	skipped  uint64
+	observes uint64 // ticks in which spinObserve ran past its gate
 }
 
 // spinReset abandons any detection in progress (tracer attach, remote
 // perturbation).
 func (c *Core) spinReset() {
 	c.spin.phase = spinIdle
-	c.spin.stable = 0
-	c.spin.rearms = 0
+}
+
+// spinLoopBack is called when a taken backward branch retires. A loop
+// iteration that committed no store, saw no perturbation and left every
+// register as it found it is a quiet loop, the kind of iteration a spin on
+// an unchanging word is made of. A quiet loop arms the detector at the end
+// of the tick; until then an idle detector costs nothing per tick.
+func (c *Core) spinLoopBack() {
+	s := &c.spin
+	if s.phase != spinIdle {
+		return
+	}
+	st, mv, pv := c.stats.CommittedStores.Get(), c.hier.CoreVersion(c.id), c.pred.ver
+	s.quiet = st == s.loopStores && s.events == s.seenEvents && mv == s.seenMem && pv == s.seenPred &&
+		c.regs == s.loopRegs
+	s.loopStores, s.seenEvents, s.seenMem, s.seenPred = st, s.events, mv, pv
+	s.loopRegs = c.regs
 }
 
 // SpinActive reports whether the core is in a confirmed periodic spin with
@@ -167,6 +162,9 @@ func (c *Core) SpinJumps() uint64 { return c.spin.jumps }
 // SpinSkippedCycles returns the total cycles this core skipped inside
 // confirmed spins.
 func (c *Core) SpinSkippedCycles() uint64 { return c.spin.skipped }
+
+// SpinObserves returns the ticks in which the spin detector did any work.
+func (c *Core) SpinObserves() uint64 { return c.spin.observes }
 
 // SpinReads reports whether the spin orbit reads the Image word at addr
 // (always true once the watch set has overflowed). A remote store to any
@@ -242,126 +240,54 @@ func (c *Core) spinWatch(addr int64) {
 	s.watch = append(s.watch, addr)
 }
 
-// spinObserve runs at the end of every Tick: it tracks environment
-// stability, arms an anchor after a warm-up of unperturbed ticks, and
-// confirms a periodic orbit when the anchor state recurs within the
-// window. Tracers see per-cycle detail, so a traced core never spins fast.
+// spinObserve runs at the end of every Tick. An idle detector returns at
+// once unless a quiet loop retired this tick, which arms it. An armed
+// detector tracks environment stability and confirms a periodic orbit when
+// the anchor state recurs within the window. Tracers see per-cycle detail,
+// so a traced core never spins fast.
 func (c *Core) spinObserve() {
 	s := &c.spin
+	if s.phase == spinIdle && !s.quiet {
+		return
+	}
+	s.quiet = false
 	if c.tracer != nil {
 		c.spinReset()
 		return
 	}
-	if occ := c.tail - c.head; occ != s.lastOcc {
-		s.lastOcc = occ
-		s.occStable = 0
-	} else {
-		s.occStable++
-	}
+	s.observes++
 	mv := c.hier.CoreVersion(c.id)
 	pv := c.pred.ver
-	if s.events != s.seenEvents || mv != s.seenMem || pv != s.seenPred || len(c.snoopPending) > 0 {
+	if s.phase == spinIdle {
 		s.seenEvents, s.seenMem, s.seenPred = s.events, mv, pv
-		s.phase = spinIdle
-		s.stable = 0
-		s.rearms = 0
-		// Decay (rather than keep) the expiry backoff: an external
-		// perturbation usually means a phase change, and a new phase's
-		// periodicity should not pay for an older phase's failed windows.
-		// Truly aperiodic phases still back off — their windows expire
-		// faster than the perturbations halve the penalty.
-		s.cooldown /= 2
+		s.spinArm(c)
 		return
 	}
-	s.stable++
-	switch s.phase {
-	case spinIdle:
-		// Arm against a settled pipeline when possible; a spin whose
-		// occupancy oscillates every tick (retire and refill interleaved)
-		// never reads as settled, so after a longer clean streak arm
-		// anyway — the recurrence prefilter below keeps mistakes cheap.
-		if s.stable >= spinWarmup+s.cooldown &&
-			(s.occStable >= spinOccSettle || s.stable >= 3*spinWarmup+s.cooldown) {
-			s.spinPend(c)
-		}
-	case spinPending:
-		// The quad was recorded for free; a full anchor capture is paid
-		// only once the quad has recurred, i.e. the phase has produced
-		// evidence of candidate periodicity. Aperiodic compute phases
-		// live their whole lives here at O(1) per tick.
-		s.armTicks++
-		occ := c.tail - c.head
-		nc, nd := spinRelGates(c)
-		switch {
-		case occ == s.anchorOcc && c.fetchPC == s.anchorPC &&
-			nc == s.anchorNC && nd == s.anchorND:
-			s.spinArm(c)
-			return
-		case occ > s.anchorOcc:
-			s.growTicks++
-			if s.growTicks >= spinOccSettle {
-				// Quad recorded mid-refill; refresh it from the fuller
-				// pipeline (free — no capture has happened yet).
-				s.spinPend(c)
-				return
-			}
-		default:
-			s.growTicks = 0
-		}
-		if s.armTicks > spinWindow {
-			if s.rearms < spinRearmMax {
-				s.rearms++
-				s.spinPend(c)
-				return
-			}
-			s.rearms = 0
-			s.phase = spinIdle
-			s.stable = 0
-			s.cooldown = min(max(s.cooldown*2, spinCooldownMin), spinCooldownMax)
-		}
-	case spinArmed:
-		s.armTicks++
-		occ := c.tail - c.head
-		if occ > s.anchorOcc {
-			s.growTicks++
-		} else {
-			s.growTicks = 0
-		}
-		nc, nd := spinRelGates(c)
-		switch {
-		case occ == s.anchorOcc && c.fetchPC == s.anchorPC &&
-			nc == s.anchorNC && nd == s.anchorND:
-			// Recurrence candidate: only here is the full capture paid.
-			// The prefilter is exact-negative (fetchPC and occupancy are
-			// both part of the capture, so unequal means not recurred) and
-			// fires at most once per orbit period.
-			s.curBuf = c.spinCapture(s.curBuf[:0])
-			if slices.Equal(s.curBuf, s.anchorBuf) {
-				s.spinConfirm(c)
-				return
-			}
-		case s.growTicks >= spinOccSettle:
-			// The pipeline has held strictly more state than the anchor
-			// for several consecutive ticks: the anchor was captured
-			// mid-refill and can never recur (an orbit's occupancy would
-			// swing back). Move it up. Each move strictly grows the
-			// anchor, bounded by the ROB capacity, so this converges.
-			s.spinArm(c)
+	if s.events != s.seenEvents || mv != s.seenMem || pv != s.seenPred || len(c.snoopPending) > 0 {
+		c.spinReset()
+		return
+	}
+	if s.phase != spinArmed {
+		return
+	}
+	s.armTicks++
+	nc, nd := spinRelGates(c)
+	if c.tail-c.head == s.anchorOcc && c.fetchPC == s.anchorPC &&
+		nc == s.anchorNC && nd == s.anchorND {
+		// Recurrence candidate: only here is the full capture paid. The
+		// prefilter is exact-negative (fetchPC and occupancy are both part
+		// of the capture, so unequal means not recurred) and fires at most
+		// once per orbit period.
+		s.curBuf = c.spinCapture(s.curBuf[:0])
+		if slices.Equal(s.curBuf, s.anchorBuf) {
+			s.spinConfirm(c)
 			return
 		}
-		if s.armTicks > spinWindow {
-			if s.rearms < spinRearmMax {
-				// The anchor never recurred within the window; retry from
-				// the current state.
-				s.rearms++
-				s.spinArm(c)
-				return
-			}
-			s.rearms = 0
-			s.phase = spinIdle
-			s.stable = 0
-			s.cooldown = min(max(s.cooldown*2, spinCooldownMin), spinCooldownMax)
-		}
+	}
+	if s.armTicks > spinWindow {
+		// The anchor never recurred within the window: wait for the next
+		// quiet loop.
+		c.spinReset()
 	}
 }
 
@@ -385,24 +311,12 @@ func spinRelGates(c *Core) (nc, nd int64) {
 	return nc, nd
 }
 
-// spinPend records the O(1) prefilter quad and waits for it to recur
-// before any capture cost is paid.
-func (s *spinState) spinPend(c *Core) {
-	s.phase = spinPending
-	s.armTicks = 0
-	s.growTicks = 0
-	s.anchorPC = c.fetchPC
-	s.anchorOcc = c.tail - c.head
-	s.anchorNC, s.anchorND = spinRelGates(c)
-}
-
 // spinArm captures the anchor state and the counter baselines the
 // confirmation will diff against.
 func (s *spinState) spinArm(c *Core) {
 	s.phase = spinArmed
 	s.anchorAt = c.cycle
 	s.armTicks = 0
-	s.growTicks = 0
 	s.anchorPC = c.fetchPC
 	s.anchorOcc = c.tail - c.head
 	s.anchorNC, s.anchorND = spinRelGates(c)
@@ -450,8 +364,6 @@ func (s *spinState) spinConfirm(c *Core) {
 		}
 	}
 	s.phase = spinConfirmed
-	s.cooldown = 0
-	s.rearms = 0
 }
 
 // SpinForward advances a confirmed spinning core by delta cycles (delta

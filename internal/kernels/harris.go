@@ -301,7 +301,11 @@ func buildHarris(opts Options) (*Kernel, error) {
 			}
 		},
 		Verify: func(img *memsys.Image) error {
-			// Walk the final list: unmarked reachable keys must be
+			// Walk the final list. A reachable node is in the set when
+			// its own next pointer is unmarked (Harris's membership
+			// rule): the mark on the pointer that reached it belongs to
+			// its predecessor, and a live node can sit behind a deleted
+			// one that was never unlinked. The live keys must be
 			// strictly increasing.
 			final := map[int64]bool{}
 			prev := int64(-1)
@@ -310,7 +314,6 @@ func buildHarris(opts Options) (*Kernel, error) {
 				if steps > opts.Threads*opts.Ops+10 {
 					return fmt.Errorf("harris: list walk did not terminate (cycle?)")
 				}
-				marked := cur&1 == 1
 				addr := cur &^ 1
 				if addr == tailNode {
 					break
@@ -320,7 +323,7 @@ func buildHarris(opts Options) (*Kernel, error) {
 				}
 				key := img.Load(addr)
 				next := img.Load(addr + 8)
-				if !marked && next&1 == 0 { // node is live
+				if next&1 == 0 { // node is live
 					if key <= prev {
 						return fmt.Errorf("harris: keys not strictly increasing (%d after %d)", key, prev)
 					}

@@ -370,3 +370,34 @@ func TestLCGGoISAEquivalence(t *testing.T) {
 		t.Error("lcgNext did not advance")
 	}
 }
+
+// TestHarrisVerifierOwnMark runs a sizing whose final harris list holds a
+// live node (key 23) reached through its deleted predecessor's marked next
+// pointer: the verifier must judge each node by its own mark, not by the
+// mark of the pointer that reached it.
+func TestHarrisVerifierOwnMark(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Core.ROBSize = 2
+	for _, mode := range []FenceMode{Traditional, Scoped} {
+		runBench(t, "harris", Options{Mode: mode, Ops: 8, Threads: 2, Seed: 82}, cfg)
+	}
+}
+
+// TestKernelSeedSweep runs every kernel, hidden ones included, in T, S and
+// inferred modes over a fixed seed range at a small sizing (the many-core
+// kernels on 4 threads): each run must pass its verifier.
+func TestKernelSeedSweep(t *testing.T) {
+	const seeds = 3
+	for _, info := range registry {
+		opts := Options{Ops: 8}
+		if strings.HasPrefix(info.Name, "scale") {
+			opts = Options{Ops: 2, Threads: 4}
+		}
+		for _, mode := range []FenceMode{Traditional, Scoped, Inferred} {
+			opts.Mode = mode
+			for opts.Seed = 1; opts.Seed <= seeds; opts.Seed++ {
+				runBench(t, info.Name, opts, machine.DefaultConfig())
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 
 	"sfence/internal/isa"
@@ -40,9 +41,13 @@ func Diff(a, b *Machine) error {
 	}
 	sa, sb := hardwareStats(a.StatsSnapshot()), hardwareStats(b.StatsSnapshot())
 	for i := range min(len(sa), len(sb)) {
-		if sa[i] != sb[i] {
-			return fmt.Errorf("stat %s diverged: %+v vs %+v", sa[i].Name, sa[i], sb[i])
+		if sa[i] == sb[i] {
+			continue
 		}
+		if sa[i].Name != sb[i].Name {
+			return fmt.Errorf("stat set diverged: %s vs %s", sa[i].Name, sb[i].Name)
+		}
+		return fmt.Errorf("stat %s diverged: %s vs %s", sa[i].Name, sampleValue(sa[i]), sampleValue(sb[i]))
 	}
 	if len(sa) != len(sb) {
 		return fmt.Errorf("stat count diverged: %d vs %d", len(sa), len(sb))
@@ -53,8 +58,13 @@ func Diff(a, b *Machine) error {
 		if ca.Cycle() != cb.Cycle() {
 			return fmt.Errorf("core %d clock diverged: %d vs %d", i, ca.Cycle(), cb.Cycle())
 		}
-		if *ca.Stats() != *cb.Stats() {
-			return fmt.Errorf("core %d stats diverged:\n%+v\nvs\n%+v", i, *ca.Stats(), *cb.Stats())
+		if va, vb := reflect.ValueOf(*ca.Stats()), reflect.ValueOf(*cb.Stats()); !va.Equal(vb) {
+			for f := range va.NumField() {
+				if !va.Field(f).Equal(vb.Field(f)) {
+					return fmt.Errorf("core %d stats.%s diverged: %v vs %v",
+						i, va.Type().Field(f).Name, va.Field(f), vb.Field(f))
+				}
+			}
 		}
 		for r := range isa.Reg(isa.NumRegs) {
 			if ca.Reg(r) != cb.Reg(r) {
@@ -72,6 +82,15 @@ func Diff(a, b *Machine) error {
 		return fmt.Errorf("memory word at %d diverged: %d vs %d", addr, a.img.Load(addr), b.img.Load(addr))
 	}
 	return nil
+}
+
+// sampleValue renders a sample's value: the float of a formula, the
+// integer of any other kind.
+func sampleValue(s stats.Sample) string {
+	if s.Kind == stats.KindFormula {
+		return strconv.FormatFloat(s.Float, 'g', -1, 64)
+	}
+	return strconv.FormatInt(s.Value, 10)
 }
 
 // hardwareStats returns the samples of s outside machine.clock.*.

@@ -82,7 +82,7 @@ func TestDiffNamesStat(t *testing.T) {
 	if !okA || !okB || sa == sb {
 		t.Fatalf("Diff = %s, want a stat that diverged", err)
 	}
-	wantDiff(t, a, b, fmt.Sprintf("stat %s diverged: %+v vs %+v", name, sa, sb))
+	wantDiff(t, a, b, fmt.Sprintf("stat %s diverged: %d vs %d", name, sa.Value, sb.Value))
 }
 
 // TestDiffNamesImageWord runs one program over two images that differ

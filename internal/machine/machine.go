@@ -23,6 +23,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"sfence/internal/cpu"
 	"sfence/internal/isa"
@@ -103,6 +104,13 @@ type Machine struct {
 	nParked int
 	ticking int
 	limit   int64 // cycle budget: MaxCycles or DefaultMaxCycles
+
+	// listening has bit i set while core i can react to a remote store
+	// (see Core.Listening). A core's bit is refreshed after each of its
+	// ticks and catch-ups, the only places it can start listening, so a
+	// stale bit can only be set: broadcastStore then visits a core for
+	// which the delivery is a no-op, and never skips one that would act.
+	listening []uint64
 }
 
 // ClockStats reports how the event-driven clock spent a Run: SlowTicks is
@@ -118,7 +126,9 @@ type Machine struct {
 // calls the machine made, the single ticks that finish a parked core's
 // catch-up included: a core skipped while it waits, or parked, takes none,
 // so CoreTicks over the summed core cycles is the share of core-cycles
-// actually simulated tick by tick. TracerPinned records that skipping was
+// actually simulated tick by tick. StoreVisits counts the cores
+// broadcastStore visited to deliver completed stores, which only
+// listening cores are. TracerPinned records that skipping was
 // disabled because a per-cycle pipeline tracer was attached — so zero
 // jumps on a traced run reads as "pinned", not "never idle".
 // SlowTicks+SkippedCycles equals the final cycle count. All of it lives
@@ -131,6 +141,7 @@ type ClockStats struct {
 	SpinJumps         int64
 	SpinSkippedCycles int64
 	CoreTicks         int64
+	StoreVisits       int64
 	TracerPinned      bool
 }
 
@@ -151,7 +162,8 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, prog: prog, img: img, hier: hier, reg: stats.NewRegistry(), limit: cfg.MaxCycles}
+	m := &Machine{cfg: cfg, prog: prog, img: img, hier: hier, reg: stats.NewRegistry(), limit: cfg.MaxCycles,
+		listening: make([]uint64, (len(threads)+63)/64)}
 	if m.limit <= 0 {
 		m.limit = DefaultMaxCycles
 	}
@@ -247,6 +259,14 @@ func (m *Machine) registerMachineStats(g *stats.Group) {
 	clock.Derived("spin_jumps", "jumps taken while at least one core was parked in a confirmed spin", func() uint64 { return uint64(m.clock.SpinJumps) })
 	clock.Derived("spin_skipped_cycles", "cycles covered by jumps taken while a core was parked", func() uint64 { return uint64(m.clock.SpinSkippedCycles) })
 	clock.Derived("core_ticks", "Core.Tick calls made, catch-up ticks included", func() uint64 { return uint64(m.clock.CoreTicks) })
+	clock.Derived("store_visits", "cores visited to deliver a completed store", func() uint64 { return uint64(m.clock.StoreVisits) })
+	clock.Derived("spin_observes", "ticks in which a spin detector ran past its gate, summed across cores", func() uint64 {
+		var t uint64
+		for _, c := range m.cores {
+			t += c.SpinObserves()
+		}
+		return t
+	})
 	clock.Derived("tracer_pinned", "1 when a per-cycle tracer disabled fast-forwarding", func() uint64 {
 		if m.clock.TracerPinned {
 			return 1
@@ -275,15 +295,17 @@ func (m *Machine) StatsRegistry() *stats.Registry { return m.reg }
 // clock accounting — into one deterministically ordered snapshot.
 func (m *Machine) StatsSnapshot() stats.Snapshot { return m.reg.Snapshot() }
 
-// broadcastStore delivers a completed store to the cores that might care.
-// Only a core holding a load that speculatively executed past a fence can
-// react to a remote store (see Core.NoteRemoteStore), so the spec-load
-// occupancy count is an exact snoop filter: skipped cores would have
-// treated the notification as a no-op. This subsumes a directory-mask
-// filter (a core with a speculative load on the line is a sharer), and
-// unlike the directory's sharer mask — which an intervening write to the same line
-// resets while the speculative load is still in flight — it can never skip
-// a core that must replay. See DESIGN.md, "Snoop filtering".
+// broadcastStore delivers a completed store to the cores that might care:
+// the listening ones, in ascending core order. Only a core holding a load
+// that speculatively executed past a fence can replay on a remote store
+// (see Core.NoteRemoteStore), and only a core whose spin detector is not
+// idle can have its detection dropped by one, so a core that is neither
+// would treat the delivery as a no-op. The spec-load count subsumes a
+// directory-mask filter (a core with a speculative load on the line is a
+// sharer), and unlike the directory's sharer mask — which an intervening
+// write to the same line resets while the speculative load is still in
+// flight — it can never skip a core that must replay. See DESIGN.md,
+// "Snoop filtering".
 // Spin detection rides the same event: the store's cache access already
 // perturbed remote copies when it ISSUED (coherence traffic bumps the
 // victims' memory versions), but the Image word only changes at
@@ -298,21 +320,36 @@ func (m *Machine) StatsSnapshot() stats.Snapshot { return m.reg.Snapshot() }
 // the snoop is first caught up too, so that it takes the snoop on the
 // cycle per-cycle stepping would.
 func (m *Machine) broadcastStore(from int, addr int64) {
-	for i, c := range m.cores {
-		if i == from {
-			continue
-		}
-		if m.due[i] == parked {
-			if !c.SpinReads(addr) {
+	for w, word := range m.listening {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if i == from {
 				continue
 			}
-			m.wake(i)
+			m.clock.StoreVisits++
+			c := m.cores[i]
+			if m.due[i] == parked {
+				if !c.SpinReads(addr) {
+					continue
+				}
+				m.wake(i)
+			}
+			c.SpinNoteRemoteStore(addr)
+			if c.SpecLoadsInFlight() > 0 {
+				m.wake(i)
+				c.NoteRemoteStore(addr)
+			}
 		}
-		c.SpinNoteRemoteStore(addr)
-		if c.SpecLoadsInFlight() > 0 {
-			m.wake(i)
-			c.NoteRemoteStore(addr)
-		}
+	}
+}
+
+// listen refreshes core i's bit in the listening set.
+func (m *Machine) listen(i int) {
+	w, b := i>>6, uint64(1)<<(i&63)
+	if m.cores[i].Listening() {
+		m.listening[w] |= b
+	} else {
+		m.listening[w] &^= b
 	}
 }
 
@@ -389,6 +426,7 @@ func (m *Machine) stepCycle(skip bool) (allDone bool, fault error) {
 		c.FastForward(m.cycle - 1 - c.Cycle())
 		c.Tick(m.cycle)
 		m.clock.CoreTicks++
+		m.listen(i)
 		if !c.Done() {
 			allDone = false
 		}
@@ -447,6 +485,7 @@ func (m *Machine) catchUp(i int, to int64) {
 		c.FastForward(to - c.Cycle())
 	}
 	m.due[i] = to + 1
+	m.listen(i)
 }
 
 // catchUpAll catches every core up to the last completed cycle, so that
