@@ -119,15 +119,20 @@ type Core struct {
 	// lists.
 	wakeHead []int32
 	wakeNext []int32
+	// Blocker lists, beside the operand lists: blockHead[b] heads the
+	// loads that olderStoreBlocks stopped at the store or CAS in slot b,
+	// node id = the load's slot, chained through blockNext. A blocked load
+	// registers when its try fails and leaves when the blocker resolves
+	// its address or completes (fireBlocked), or on squash.
+	blockHead []int32
+	blockNext []int32
 	// readyBits marks the slots schedule must try, one bit per slot, and
-	// wakePending says whether any is marked. memWait marks the waiting
-	// loads whose address is resolved: olderStoreBlocks held them back,
-	// so only an older store or CAS resolving its address or completing
-	// can start them. Bits of slots outside the window are stale and
-	// ignored; decode clears a reused slot's memWait bit. See sched.go.
+	// wakePending says whether any is marked. See sched.go.
 	readyBits   []uint64
-	memWait     []uint64
 	wakePending bool
+	// tries and starts count tryEntry calls and execution starts; the
+	// machine sums them as machine.clock.sched_tries and sched_starts.
+	tries, starts uint64
 
 	// completion min-heap, ordered by (readyAt, seq): every execution
 	// start pushes a node, completeROB pops the due ones. Lexicographic
@@ -199,13 +204,12 @@ func NewCore(id int, cfg Config, prog *isa.Program, startPC int, initRegs map[is
 
 		wakeHead:  make([]int32, cfg.ROBSize),
 		wakeNext:  make([]int32, 3*cfg.ROBSize),
+		blockHead: make([]int32, cfg.ROBSize),
+		blockNext: make([]int32, cfg.ROBSize),
 		readyBits: make([]uint64, (cfg.ROBSize+63)/64),
-		memWait:   make([]uint64, (cfg.ROBSize+63)/64),
 		compHeap:  make([]compNode, 0, cfg.ROBSize),
 	}
-	for i := range c.wakeHead {
-		c.wakeHead[i] = -1
-	}
+	c.wipeWakes()
 	c.scope = newScopeHW(&c.cfg, &c.stats)
 	for i := range c.regTag {
 		c.regTag[i] = -1
@@ -308,6 +312,7 @@ func (c *Core) incBits(counts []int, bits uint8) {
 // completion gate.
 func (c *Core) noteExec(seq uint64, readyAt int64) {
 	c.progressed = true
+	c.starts++
 	c.heapPush(compNode{at: readyAt, seq: seq})
 	if readyAt < c.nextComplete {
 		c.nextComplete = readyAt
@@ -517,12 +522,12 @@ func (c *Core) completeROB() {
 			c.robIncompleteMem--
 			c.decBits(c.scope.robCnt, e.fsb)
 			c.decBits(c.scope.robLoadCnt, e.fsb)
-			c.wakeMemWaiters() // same-address loads now read memory
+			c.fireBlocked(n.seq) // same-address loads now read memory
+		case isa.OpStore:
+			e.stage = stDone
+			c.fireBlocked(n.seq) // same-address loads may now forward
 		default:
 			e.stage = stDone
-			if e.inst.Op == isa.OpStore {
-				c.wakeMemWaiters() // same-address loads may now forward
-			}
 		}
 		c.fireWakes(n.seq)
 	}
@@ -697,6 +702,7 @@ func (c *Core) schedule() {
 
 // tryEntry attempts to start the entry at seq if it is still waiting.
 func (c *Core) tryEntry(seq uint64) {
+	c.tries++
 	e := &c.entries[seq&c.robMask]
 	if e.stage != stWaiting {
 		return
@@ -718,9 +724,9 @@ func (c *Core) tryEntry(seq uint64) {
 		c.trace(TraceExecute, seq, e.inst, e.readyAt)
 	}
 	if !wasAddrOK && e.addrOK && e.inst.Op != isa.OpLoad {
-		// A store or CAS address: younger blocked loads may pass it now,
-		// and the pass reaches them after this slot.
-		c.wakeMemWaiters()
+		// A store or CAS address: the younger loads blocked on it may
+		// pass it now, and the pass reaches them after this slot.
+		c.fireBlocked(seq)
 	}
 }
 
@@ -839,39 +845,40 @@ func (c *Core) tryResolveBranch(e *robEntry, seq uint64) {
 }
 
 // olderStoreBlocks scans program-order-older ROB stores for address
-// conflicts with a load at addr. It returns (blocked, forward, fval):
-// blocked when the load must wait, forward when a value can be bypassed.
-func (c *Core) olderStoreBlocks(seq uint64, addr int64) (bool, bool, int64) {
+// conflicts with a load at addr. It returns (blocker, forward, fval):
+// blocker is the seq of the store or CAS the load must wait on, or -1;
+// forward reports that a value can be bypassed.
+func (c *Core) olderStoreBlocks(seq uint64, addr int64) (int64, bool, int64) {
 	for s := seq; s > c.head; {
 		s--
 		f := c.slot(s)
 		switch f.inst.Op {
 		case isa.OpStore:
 			if !f.addrOK {
-				return true, false, 0 // unresolved older store address
+				return int64(s), false, 0 // unresolved older store address
 			}
 			if f.addr != addr {
 				continue
 			}
 			if f.stage == stDone {
-				return false, true, f.sval // store-to-load forwarding
+				return -1, true, f.sval // store-to-load forwarding
 			}
-			return true, false, 0 // matching store, data not ready
+			return int64(s), false, 0 // matching store, data not ready
 		case isa.OpCAS:
 			if !f.addrOK {
-				return true, false, 0
+				return int64(s), false, 0
 			}
 			if f.addr != addr {
 				continue
 			}
 			if f.stage == stDone {
 				// CAS already applied to memory; read from the image.
-				return false, false, 0
+				return -1, false, 0
 			}
-			return true, false, 0
+			return int64(s), false, 0
 		}
 	}
-	return false, false, 0
+	return -1, false, 0
 }
 
 func (c *Core) tryStartLoad(e *robEntry, seq uint64) {
@@ -885,13 +892,11 @@ func (c *Core) tryStartLoad(e *robEntry, seq uint64) {
 		e.addrOK = true
 		c.progressed = true
 	}
-	blocked, forward, fval := c.olderStoreBlocks(seq, e.addr)
-	s := seq & c.robMask
-	if blocked {
-		c.memWait[s>>6] |= 1 << (s & 63)
+	blocker, forward, fval := c.olderStoreBlocks(seq, e.addr)
+	if blocker >= 0 {
+		c.regBlocked(blocker, seq)
 		return
 	}
-	c.memWait[s>>6] &^= 1 << (s & 63)
 	if forward {
 		e.val = fval
 		e.stage = stExecuting
@@ -1024,7 +1029,10 @@ func (c *Core) squash(fromSeq uint64) {
 		c.donePrefix = c.tail
 	}
 	// Rebuild the register rename tags, the wakeup lists, and the
-	// completion heap from the surviving entries.
+	// completion heap from the surviving entries. A waiting load with a
+	// resolved address failed its last try, and nothing has moved its
+	// blocker since: the marks that could have, in this pass or before
+	// it, were all tried.
 	for i := range c.regTag {
 		c.regTag[i] = -1
 	}
@@ -1034,8 +1042,14 @@ func (c *Core) squash(fromSeq uint64) {
 		if e.inst.Writes() {
 			c.regTag[e.inst.Rd] = int64(seq)
 		}
-		if e.stage == stWaiting {
-			c.regWakes(e, seq)
+		if e.stage != stWaiting {
+			continue
+		}
+		c.regWakes(e, seq)
+		if e.inst.Op == isa.OpLoad && e.addrOK {
+			if b, _, _ := c.olderStoreBlocks(seq, e.addr); b >= 0 {
+				c.regBlocked(b, seq)
+			}
 		}
 	}
 	c.rebuildCompHeap()
@@ -1140,12 +1154,6 @@ func (c *Core) fetch() {
 		e.src1, e.src2, e.src3 = -1, -1, -1
 		c.scope.snapshotInto(&e.snap)
 		c.progressed = true
-		// A fresh entry needs one scheduling try; decode changes nothing
-		// about older entries. The slot may still hold a squashed load's
-		// memWait bit.
-		s := seq & c.robMask
-		c.memWait[s>>6] &^= 1 << (s & 63)
-		c.mark(seq)
 		c.trace(TraceDecode, seq, in, int64(pc))
 
 		nextPC := pc + 1
@@ -1231,8 +1239,11 @@ func (c *Core) fetch() {
 			e.stage = stWaiting
 		}
 
-		if e.stage == stWaiting {
-			c.regWakes(e, seq)
+		// A fresh waiting entry needs a first try unless a producer it
+		// registered on gates it; decode changes nothing about older
+		// entries.
+		if e.stage == stWaiting && !c.regWakes(e, seq) {
+			c.mark(seq)
 		}
 		if in.Writes() {
 			c.regTag[in.Rd] = int64(seq)

@@ -5,24 +5,32 @@ import "sfence/internal/isa"
 // This file holds the event-driven scheduling structures: a completion
 // min-heap for completeROB and the wakeups that mark slots for schedule.
 //
-// A waiting ROB entry waits on exactly one kind of thing at a time, and
-// each event marks only the entries it can unblock (event: marks; why
-// nothing else can start):
+// A waiting ROB entry waits on exactly one thing at a time, and each
+// event marks only the entries whose try can change something (event:
+// marks; why nothing else can start):
 //
 //   - a producer completes: its registered consumers; operands wait on
 //     older producers only.
-//   - a store or CAS completes: every memWait load; a done store forwards
-//     and a done CAS is in memory, and only loads read an older store's
-//     stage.
-//   - a store or CAS address resolves: every memWait load; only loads
-//     wait on older addresses.
+//   - a store or CAS completes, or its address resolves: the loads
+//     registered on it. olderStoreBlocks stops at one blocker, the
+//     youngest older store or CAS whose address is unresolved, or is the
+//     load's with no value yet, and a blocked load registers on exactly
+//     that entry; nothing older is read until it moves.
 //   - a store-buffer entry drains: the head, if it is a waiting CAS; a CAS
 //     waits for same-address drains, and loads never wait on the buffer.
 //   - retirement moves the head: the head, if it is a waiting CAS; a CAS
 //     starts only from the head, and a retiring store or CAS was done.
-//   - decode: the new entry, for its first try.
+//   - decode: the new waiting entry, unless an in-flight producer it is
+//     registered on gates its first try — the address operand of a store
+//     or CAS (a ready address resolves even while the data is late), any
+//     operand of anything else.
 //   - a squash: nothing; survivors, and all they wait on, are older than
-//     the squash point.
+//     the squash point. The wake lists are rebuilt: each surviving
+//     waiting entry re-registers on its in-flight producers, and each
+//     surviving blocked load on its blocker.
+//
+// The operand lists and the blocker lists are derived state: functions of
+// the window, rebuilt from it on a squash.
 //
 // Start conditions never read the clock, so an entry no event marked would
 // start nothing. An address resolves inside the schedule pass, and the
@@ -35,6 +43,12 @@ import "sfence/internal/isa"
 // S+), the bench digests (bench/testdata/expected.json), the SC reference
 // interpreter through the differential fuzzers, and sched_test.go, which
 // checks the fixed point after every tick.
+
+// SchedTries returns the scheduling tries (tryEntry calls) the core made.
+func (c *Core) SchedTries() uint64 { return c.tries }
+
+// SchedStarts returns the entries the core started executing.
+func (c *Core) SchedStarts() uint64 { return c.starts }
 
 // compNode schedules one executing entry's completion.
 type compNode struct {
@@ -110,28 +124,34 @@ func (c *Core) rebuildCompHeap() {
 }
 
 // regWake registers the entry in slot `consumer` to be woken when the
-// in-flight producer of operand k completes. Producers already done (or
-// committed) need no registration: decode marks the consumer for its first
-// try.
-func (c *Core) regWake(src int64, consumer uint64, k int) {
+// in-flight producer of operand k completes, and reports whether it did.
+// Producers already done (or committed) need no registration.
+func (c *Core) regWake(src int64, consumer uint64, k int) bool {
 	if src < 0 || uint64(src) < c.head {
-		return
+		return false
 	}
 	p := src & int64(c.robMask)
 	if c.entries[p].stage == stDone {
-		return
+		return false
 	}
 	id := int32(consumer&c.robMask)*3 + int32(k)
 	c.wakeNext[id] = c.wakeHead[p]
 	c.wakeHead[p] = id
+	return true
 }
 
 // regWakes registers all in-flight operand producers of a freshly decoded
-// (or squash-surviving) waiting entry.
-func (c *Core) regWakes(e *robEntry, seq uint64) {
-	c.regWake(e.src1, seq, 0)
-	c.regWake(e.src2, seq, 1)
-	c.regWake(e.src3, seq, 2)
+// (or squash-surviving) waiting entry and reports whether one of them
+// gates its first try: the address operand of a store or CAS, any operand
+// of anything else.
+func (c *Core) regWakes(e *robEntry, seq uint64) bool {
+	gated := c.regWake(e.src1, seq, 0)
+	late := c.regWake(e.src2, seq, 1)
+	late = c.regWake(e.src3, seq, 2) || late
+	if e.inst.Op == isa.OpStore || e.inst.Op == isa.OpCAS {
+		return gated
+	}
+	return gated || late
 }
 
 // fireWakes marks every consumer registered on the completing entry as
@@ -151,21 +171,36 @@ func (c *Core) fireWakes(seq uint64) {
 	c.wakePending = true
 }
 
+// regBlocked registers the waiting load at seq on the wake list of the
+// store or CAS at blocker, where olderStoreBlocks stopped.
+func (c *Core) regBlocked(blocker int64, seq uint64) {
+	b := blocker & int64(c.robMask)
+	l := int32(seq & c.robMask)
+	c.blockNext[l] = c.blockHead[b]
+	c.blockHead[b] = l
+}
+
+// fireBlocked marks every load registered on the store or CAS at seq,
+// whose address resolved or which completed, and empties the list.
+func (c *Core) fireBlocked(seq uint64) {
+	s := seq & c.robMask
+	id := c.blockHead[s]
+	if id < 0 {
+		return
+	}
+	c.blockHead[s] = -1
+	for id >= 0 {
+		c.readyBits[id>>6] |= 1 << (id & 63)
+		id = c.blockNext[id]
+	}
+	c.wakePending = true
+}
+
 // mark queues the entry at seq for a try in the next schedule pass.
 func (c *Core) mark(seq uint64) {
 	s := seq & c.robMask
 	c.readyBits[s>>6] |= 1 << (s & 63)
 	c.wakePending = true
-}
-
-// wakeMemWaiters marks every load that olderStoreBlocks held back.
-func (c *Core) wakeMemWaiters() {
-	for i, w := range c.memWait {
-		if w != 0 {
-			c.readyBits[i] |= w
-			c.wakePending = true
-		}
-	}
 }
 
 // wakeHeadCAS marks the ROB head if it is a waiting CAS.
@@ -177,11 +212,12 @@ func (c *Core) wakeHeadCAS() {
 	}
 }
 
-// wipeWakes clears every wakeup list (used by squash before surviving
-// waiting entries re-register, so no registration node can ever sit in
-// two lists).
+// wipeWakes clears every wakeup list, operand and blocker (used by squash
+// before surviving waiting entries re-register, so no registration node
+// can ever sit in two lists).
 func (c *Core) wipeWakes() {
 	for i := range c.wakeHead {
 		c.wakeHead[i] = -1
+		c.blockHead[i] = -1
 	}
 }

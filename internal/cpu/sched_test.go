@@ -43,8 +43,9 @@ func (c *Core) registered(src int64, consumer uint64, k int) bool {
 	return false
 }
 
-// olderMemBlocker restates olderStoreBlocks' rule and names the blocker.
-func (c *Core) olderMemBlocker(seq uint64, addr int64) string {
+// olderMemBlocker restates olderStoreBlocks' rule: it names why a load at
+// addr waits and the seq of the store or CAS it waits on, or -1.
+func (c *Core) olderMemBlocker(seq uint64, addr int64) (string, int64) {
 	for s := seq; s > c.head; {
 		s--
 		f := c.slot(s)
@@ -53,23 +54,54 @@ func (c *Core) olderMemBlocker(seq uint64, addr int64) string {
 		}
 		switch {
 		case !f.addrOK:
-			return waitStoreAddr
+			return waitStoreAddr, int64(s)
 		case f.addr != addr:
 			continue
 		case f.stage == stDone:
-			return waitNotBlocked // forwards, or reads the CAS result
+			return waitNotBlocked, -1 // forwards, or reads the CAS result
 		case f.inst.Op == isa.OpStore:
-			return waitStoreData
+			return waitStoreData, int64(s)
 		}
-		return waitCASDone
+		return waitCASDone, int64(s)
 	}
-	return waitNotBlocked
+	return waitNotBlocked, -1
+}
+
+// blockedOn maps each load slot on a blocker list to the slots of the
+// lists it sits on.
+func (c *Core) blockedOn() map[uint64][]uint64 {
+	on := map[uint64][]uint64{}
+	for b := range c.blockHead {
+		for id := c.blockHead[b]; id >= 0; id = c.blockNext[id] {
+			on[uint64(id)] = append(on[uint64(id)], uint64(b))
+		}
+	}
+	return on
+}
+
+// gated reports whether a registered, not-done producer gates the first
+// try of the waiting entry at seq: the address operand of a store or
+// CAS, any operand of anything else.
+func (c *Core) gated(seq uint64) bool {
+	e := c.slot(seq)
+	srcs := []int64{e.src1, e.src2, e.src3}
+	if e.inst.Op == isa.OpStore || e.inst.Op == isa.OpCAS {
+		srcs = srcs[:1]
+	}
+	for k, src := range srcs {
+		if !c.srcReady(src) && c.registered(src, seq&c.robMask, k) {
+			return true
+		}
+	}
+	return false
 }
 
 // waitReason proves the waiting entry at seq blocked and says by what, or
 // reports a failure. Every not-done producer operand must be registered on
-// that producer's wake list.
-func (c *Core) waitReason(t *testing.T, seq uint64) string {
+// that producer's wake list, and a load with a resolved address on the
+// blocker list of exactly the entry olderMemBlocker names; on maps load
+// slots to the blocker lists they sit on.
+func (c *Core) waitReason(t *testing.T, seq uint64, on map[uint64][]uint64) string {
 	t.Helper()
 	e := c.slot(seq)
 	slot := seq & c.robMask
@@ -85,18 +117,24 @@ func (c *Core) waitReason(t *testing.T, seq uint64) string {
 	}
 	switch e.inst.Op {
 	case isa.OpLoad:
-		if got, want := bit(c.memWait, slot), e.addrOK; got != want {
-			t.Errorf("seq %d (%s): memWait %v, want %v (waiting load, addrOK %v)", seq, e.inst, got, want, e.addrOK)
-		}
 		if !e.addrOK {
 			if !operand {
 				t.Errorf("seq %d (%s): address operand ready but not resolved", seq, e.inst)
 			}
+			if len(on[slot]) != 0 {
+				t.Errorf("seq %d (%s): unresolved load on blocker lists %v", seq, e.inst, on[slot])
+			}
 			return waitOperand
 		}
-		why := c.olderMemBlocker(seq, e.addr)
-		if blocked, _, _ := c.olderStoreBlocks(seq, e.addr); blocked != (why != waitNotBlocked) {
-			t.Fatalf("seq %d (%s): olderStoreBlocks %v disagrees with %q", seq, e.inst, blocked, why)
+		why, blocker := c.olderMemBlocker(seq, e.addr)
+		if got, _, _ := c.olderStoreBlocks(seq, e.addr); got != blocker {
+			t.Fatalf("seq %d (%s): olderStoreBlocks stops at %d, want %d (%q)", seq, e.inst, got, blocker, why)
+		}
+		if blocker >= 0 {
+			want := []uint64{uint64(blocker) & c.robMask}
+			if got := on[slot]; len(got) != 1 || got[0] != want[0] {
+				t.Errorf("seq %d (%s): on blocker lists %v, want %v (seq %d, %q)", seq, e.inst, got, want, blocker, why)
+			}
 		}
 		return why
 	case isa.OpStore, isa.OpCAS:
@@ -122,37 +160,49 @@ func (c *Core) waitReason(t *testing.T, seq uint64) string {
 
 // checkFixedPoint asserts what a finished schedule pass leaves behind.
 // Fetch runs after schedule within a Tick, so the only marked slots are
-// the ones decoded in this Tick (tried first in the next one). Every other
-// waiting entry must be provably blocked, and memWait must equal "waiting
-// load with a resolved address" across the window. It returns the wait
-// reasons seen.
+// the ones decoded in this Tick (tried first in the next one): a fresh
+// waiting entry is marked exactly when no registered, not-done producer
+// gates its first try, and a fresh done entry is not marked. Every other
+// waiting entry must be provably blocked, and only waiting loads with a
+// resolved address may sit on blocker lists. It returns the wait reasons
+// seen.
 func checkFixedPoint(t *testing.T, c *Core, decoded []uint64) map[string]bool {
 	t.Helper()
 	fresh := map[uint64]bool{}
+	marked := false
 	for _, seq := range decoded {
-		fresh[seq&c.robMask] = true
-		if !bit(c.readyBits, seq&c.robMask) {
-			t.Errorf("cycle %d: seq %d decoded but not marked", c.cycle, seq)
+		slot := seq & c.robMask
+		fresh[slot] = true
+		e := c.slot(seq)
+		want := e.stage == stWaiting && !c.gated(seq)
+		if got := bit(c.readyBits, slot); got != want {
+			t.Errorf("cycle %d: seq %d (%s) decoded with mark %v, want %v (stage %d, gated %v)",
+				c.cycle, seq, e.inst, got, want, e.stage, c.gated(seq))
 		}
+		marked = marked || want
 	}
 	for slot := uint64(0); slot < uint64(len(c.entries)); slot++ {
 		if bit(c.readyBits, slot) && !fresh[slot] {
 			t.Errorf("cycle %d: slot %d still marked after the schedule pass", c.cycle, slot)
 		}
 	}
-	if c.wakePending != (len(decoded) > 0) {
-		t.Errorf("cycle %d: wakePending %v with %d decodes", c.cycle, c.wakePending, len(decoded))
+	if c.wakePending != marked {
+		t.Errorf("cycle %d: wakePending %v with marked decodes %v", c.cycle, c.wakePending, marked)
+	}
+	on := c.blockedOn()
+	for slot := range on {
+		seq := c.head + (slot-c.head)&c.robMask
+		if e := c.slot(seq); seq >= c.tail || e.inst.Op != isa.OpLoad || e.stage != stWaiting || !e.addrOK {
+			t.Errorf("cycle %d: slot %d sits on blocker lists %v but holds no blocked load", c.cycle, slot, on[slot])
+		}
 	}
 	seen := map[string]bool{}
 	for seq := c.head; seq < c.tail; seq++ {
 		e := c.slot(seq)
-		if e.inst.Op == isa.OpLoad && e.stage != stWaiting && bit(c.memWait, seq&c.robMask) {
-			t.Errorf("cycle %d: seq %d (%s) started but keeps its memWait bit", c.cycle, seq, e.inst)
-		}
 		if e.stage != stWaiting || fresh[seq&c.robMask] {
 			continue
 		}
-		why := c.waitReason(t, seq)
+		why := c.waitReason(t, seq, on)
 		if why == waitNotBlocked {
 			t.Errorf("cycle %d: seq %d (%s) waits with nothing to wait on", c.cycle, seq, e.inst)
 		}
@@ -212,6 +262,13 @@ func TestSchedulerFixedPoint(t *testing.T) {
 		reg   isa.Reg  // reg must end with val
 		val   int64
 		mem   [2]int64 // and word mem[0] must hold mem[1]
+		// failed is the exact count of tries that start nothing. A
+		// load's first try resolves its address; a blocked load is tried
+		// again only when its blocker moves; and an entry with two
+		// outstanding producers is tried when the first completes. A
+		// wake rule that marks an entry whose try cannot change anything
+		// raises it.
+		failed uint64
 	}{
 		{
 			name: "load behind a store whose address comes from a div",
@@ -226,6 +283,51 @@ func TestSchedulerFixedPoint(t *testing.T) {
 			},
 			want: []string{waitStoreAddr},
 			reg:  isa.R5, val: 1, mem: [2]int64{a + 8, 7},
+			failed: 2,
+		},
+		{
+			// The older store resolves and completes first. The load stays
+			// unmarked on the younger store's list until that store
+			// resolves: its one failed try is its first (the other three
+			// are operand retries).
+			name: "load behind two unresolved stores, the older resolving first",
+			build: func(b *isa.Builder) {
+				b.MovI(isa.R1, a)
+				b.MovI(isa.R2, 7)
+				b.MovI(isa.R9, 1)
+				b.Div(isa.R3, isa.R1, isa.R9)
+				b.Div(isa.R6, isa.R1, isa.R9)
+				b.Div(isa.R7, isa.R6, isa.R9)
+				b.Store(isa.R3, 8, isa.R2)
+				b.Store(isa.R7, 16, isa.R2)
+				b.Load(isa.R4, isa.R1, 0)
+				b.AddI(isa.R5, isa.R4, 1)
+			},
+			want: []string{waitStoreAddr},
+			reg:  isa.R5, val: 1, mem: [2]int64{a + 16, 7},
+			failed: 4,
+		},
+		{
+			// The younger store resolves to another address while an
+			// older same-address store still waits for its data: the load
+			// moves to the older store's list. It fails twice, on its
+			// first try and when the younger store resolves.
+			name: "load re-registering on an older same-address store",
+			build: func(b *isa.Builder) {
+				b.MovI(isa.R1, a)
+				b.MovI(isa.R2, 7)
+				b.MovI(isa.R9, 1)
+				b.Div(isa.R3, isa.R2, isa.R9)
+				b.Div(isa.R3, isa.R3, isa.R9)
+				b.Div(isa.R3, isa.R3, isa.R9)
+				b.Div(isa.R7, isa.R1, isa.R9)
+				b.Store(isa.R1, 0, isa.R3)
+				b.Store(isa.R7, 16, isa.R2)
+				b.Load(isa.R4, isa.R1, 0)
+			},
+			want: []string{waitStoreAddr, waitStoreData},
+			reg:  isa.R4, val: 7, mem: [2]int64{a, 7},
+			failed: 5,
 		},
 		{
 			name: "load forwarding from a store whose data arrives late",
@@ -239,6 +341,7 @@ func TestSchedulerFixedPoint(t *testing.T) {
 			},
 			want: []string{waitStoreData},
 			reg:  isa.R4, val: 5, mem: [2]int64{a, 5},
+			failed: 2,
 		},
 		{
 			name: "load behind a same-address CAS",
@@ -250,6 +353,7 @@ func TestSchedulerFixedPoint(t *testing.T) {
 			},
 			want: []string{waitCASDone},
 			reg:  isa.R5, val: 9, mem: [2]int64{a, 9},
+			failed: 1,
 		},
 		{
 			name: "CAS behind a same-address store-buffer entry",
@@ -263,6 +367,7 @@ func TestSchedulerFixedPoint(t *testing.T) {
 			},
 			want: []string{waitDrain},
 			reg:  isa.R5, val: 1, mem: [2]int64{a, 8},
+			failed: 2,
 		},
 		{
 			name: "CAS behind older work",
@@ -275,6 +380,7 @@ func TestSchedulerFixedPoint(t *testing.T) {
 			},
 			want: []string{waitHead},
 			reg:  isa.R5, val: 1, mem: [2]int64{a, 1},
+			failed: 2,
 		},
 		{
 			name: "mispredict squashing with waiting survivors",
@@ -296,6 +402,7 @@ func TestSchedulerFixedPoint(t *testing.T) {
 			},
 			want: []string{waitSurvivor, waitOperand, waitStoreAddr},
 			reg:  isa.R5, val: 2, mem: [2]int64{a, 1},
+			failed: 3,
 		},
 	}
 	for _, tc := range cases {
@@ -312,6 +419,9 @@ func TestSchedulerFixedPoint(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.InWindowSpec = spec
 				c, img, seen := runFixedPoint(t, cfg, b.MustBuild())
+				if got := c.tries - c.starts; got != tc.failed {
+					t.Errorf("%d tries started nothing (%d tries, %d starts), want %d", got, c.tries, c.starts, tc.failed)
+				}
 				for _, why := range tc.want {
 					if !seen[why] {
 						t.Errorf("never saw a %q wait (saw %v)", why, seen)

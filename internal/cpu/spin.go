@@ -501,10 +501,12 @@ func spinCreditStats(s, d *Stats, times uint64) {
 //     capture is invariant under the seq growth across iterations;
 //   - derived structures are excluded because they are functions of what
 //     is captured: the completion heap is exactly the executing entries
-//     (popped in deterministic (readyAt, seq) order), the wakeup lists are
-//     exactly the waiting entries' not-yet-done producers, memWait is
-//     exactly the waiting loads with addrOK, and per-tick scratch
+//     (popped in deterministic (readyAt, seq) order), the operand wake
+//     lists are exactly the waiting entries' not-yet-done producers, the
+//     blocker lists hold exactly the waiting loads with addrOK, each on
+//     the store or CAS olderStoreBlocks stops at, and per-tick scratch
 //     (accrual, stall dedup flags) is rebuilt from scratch each Tick.
+//     List order is not captured: a fired list only sets ready bits.
 func (c *Core) spinCapture(buf []uint64) []uint64 {
 	const none = ^uint64(0)
 	relSeq := func(s int64) uint64 {

@@ -216,22 +216,22 @@ func New(cfg Config, prog *isa.Program, threads []Thread) (*Machine, error) {
 // totals, the event-driven clock accounting, and the paper's headline
 // fence-stall fraction. All are closures evaluated only at snapshot time.
 func (m *Machine) registerMachineStats(g *stats.Group) {
-	sum := func(pick func(*cpu.Stats) uint64) func() uint64 {
+	sum := func(pick func(*cpu.Core) uint64) func() uint64 {
 		return func() uint64 {
 			var t uint64
 			for _, c := range m.cores {
-				t += pick(c.Stats())
+				t += pick(c)
 			}
 			return t
 		}
 	}
 	g.Derived("cycles", "current global cycle", func() uint64 { return uint64(m.cycle) })
-	g.Derived("core_cycles", "active cycles summed across cores", sum(func(s *cpu.Stats) uint64 { return s.Cycles.Get() }))
-	g.Derived("committed", "committed instructions summed across cores", sum(func(s *cpu.Stats) uint64 { return s.Committed.Get() }))
-	g.Derived("committed_fences", "committed fences summed across cores", sum(func(s *cpu.Stats) uint64 { return s.CommittedFences.Get() }))
-	g.Derived("fence_stall_cycles", "fence stall cycles summed across cores", sum(func(s *cpu.Stats) uint64 { return s.FenceStallCycles.Get() }))
-	g.Derived("fence_idle_cycles", "fence idle cycles summed across cores (the stacked-bar metric)", sum(func(s *cpu.Stats) uint64 { return s.FenceIdleCycles.Get() }))
-	g.Derived("mispredicts", "branch mispredictions summed across cores", sum(func(s *cpu.Stats) uint64 { return s.Mispredicts.Get() }))
+	g.Derived("core_cycles", "active cycles summed across cores", sum(func(c *cpu.Core) uint64 { return c.Stats().Cycles.Get() }))
+	g.Derived("committed", "committed instructions summed across cores", sum(func(c *cpu.Core) uint64 { return c.Stats().Committed.Get() }))
+	g.Derived("committed_fences", "committed fences summed across cores", sum(func(c *cpu.Core) uint64 { return c.Stats().CommittedFences.Get() }))
+	g.Derived("fence_stall_cycles", "fence stall cycles summed across cores", sum(func(c *cpu.Core) uint64 { return c.Stats().FenceStallCycles.Get() }))
+	g.Derived("fence_idle_cycles", "fence idle cycles summed across cores (the stacked-bar metric)", sum(func(c *cpu.Core) uint64 { return c.Stats().FenceIdleCycles.Get() }))
+	g.Derived("mispredicts", "branch mispredictions summed across cores", sum(func(c *cpu.Core) uint64 { return c.Stats().Mispredicts.Get() }))
 	g.Formula("fence_stall_fraction", "fence idle cycles over total core cycles", func() float64 {
 		t := m.TotalStats()
 		return t.FenceStallFraction()
@@ -260,13 +260,9 @@ func (m *Machine) registerMachineStats(g *stats.Group) {
 	clock.Derived("spin_skipped_cycles", "cycles covered by jumps taken while a core was parked", func() uint64 { return uint64(m.clock.SpinSkippedCycles) })
 	clock.Derived("core_ticks", "Core.Tick calls made, catch-up ticks included", func() uint64 { return uint64(m.clock.CoreTicks) })
 	clock.Derived("store_visits", "cores visited to deliver a completed store", func() uint64 { return uint64(m.clock.StoreVisits) })
-	clock.Derived("spin_observes", "ticks in which a spin detector ran past its gate, summed across cores", func() uint64 {
-		var t uint64
-		for _, c := range m.cores {
-			t += c.SpinObserves()
-		}
-		return t
-	})
+	clock.Derived("spin_observes", "ticks in which a spin detector ran past its gate, summed across cores", sum((*cpu.Core).SpinObserves))
+	clock.Derived("sched_tries", "scheduling tries (tryEntry calls), summed across cores", sum((*cpu.Core).SchedTries))
+	clock.Derived("sched_starts", "ROB entries started executing, summed across cores", sum((*cpu.Core).SchedStarts))
 	clock.Derived("tracer_pinned", "1 when a per-cycle tracer disabled fast-forwarding", func() uint64 {
 		if m.clock.TracerPinned {
 			return 1

@@ -3,6 +3,7 @@ package ref
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"sfence/internal/isa"
 	"sfence/internal/machine"
@@ -46,24 +47,26 @@ type ConcReport struct {
 
 // concMachineConfig returns the machine configuration the checker runs a
 // scenario under: one core per thread, a hierarchy of the given depth, a
-// 1 MiB image covering the scenario's footprint, and a tight cycle bound.
-func concMachineConfig(threads, depth int) machine.Config {
+// 1 MiB image covering the scenario's footprint, and the given cycle
+// budget.
+func concMachineConfig(threads, depth int, maxCycles int64) machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Cores = threads
 	cfg.Mem = memsys.DepthConfig(depth)
 	cfg.ImageSize = 1 << 20
-	cfg.MaxCycles = concMaxCycles
+	cfg.MaxCycles = maxCycles
 	return cfg
 }
 
 // newConcMachine builds a machine for one lowering of cp at the given
-// hierarchy depth, with the scenario's initial registers and memory.
-func newConcMachine(cp *ConcProgram, v Variant, prog *isa.Program, depth int) (*machine.Machine, error) {
+// hierarchy depth and cycle budget, with the scenario's initial registers
+// and memory.
+func newConcMachine(cp *ConcProgram, v Variant, prog *isa.Program, depth int, maxCycles int64) (*machine.Machine, error) {
 	threads := make([]machine.Thread, cp.NumThreads)
 	for t := range threads {
 		threads[t] = machine.Thread{Entry: ConcEntry(t), Regs: cp.Regs[t]}
 	}
-	m, err := machine.New(concMachineConfig(cp.NumThreads, depth), prog, threads)
+	m, err := machine.New(concMachineConfig(cp.NumThreads, depth, maxCycles), prog, threads)
 	if err != nil {
 		return nil, fmt.Errorf("ref: machine for variant %v depth %d: %w", v, depth, err)
 	}
@@ -114,7 +117,10 @@ func checkAgainstOracle(label string, m *machine.Machine, oracle *ConcState, thr
 //     event-driven clock — and machine.Diff must find the two runs
 //     identical (cycles, clock partition, full stats registry, per-core
 //     clocks, stats, registers and fence profiles, hierarchy stats,
-//     whole image);
+//     whole image). On its way the naive run stops at a cycle drawn from
+//     the seed, where it must agree with a third machine run on the
+//     event-driven clock with that cut as its cycle budget: a run
+//     stopped by its budget must leave every core caught up to the cut;
 //  4. each machine run's checked projection (per-thread R1-R12 plus the
 //     scenario's memory footprint) must equal the oracle's exactly.
 //
@@ -159,24 +165,40 @@ func CheckConcurrent(seed int64, depths []int) (*ConcReport, error) {
 		{VariantSet, cp.Variants[VariantSet]},
 		{VariantInferred, inferred},
 	}
+	cuts := rand.New(rand.NewSource(seed))
 	for _, depth := range depths {
 		for _, low := range lowerings {
 			v := low.v
 			label := fmt.Sprintf("seed %d variant %v depth %d", seed, v, depth)
-			mN, err := newConcMachine(cp, v, low.prog, depth)
+			mN, err := newConcMachine(cp, v, low.prog, depth, concMaxCycles)
 			if err != nil {
 				return rep, err
 			}
-			mE, err := newConcMachine(cp, v, low.prog, depth)
+			mE, err := newConcMachine(cp, v, low.prog, depth, concMaxCycles)
 			if err != nil {
 				return rep, err
-			}
-			if err := mN.StepUntil(concMaxCycles); err != nil {
-				return rep, fmt.Errorf("%s: naive run: %w", label, err)
 			}
 			ec, err := mE.Run(context.Background())
 			if err != nil {
 				return rep, fmt.Errorf("%s: event-driven run: %w", label, err)
+			}
+			if ec > 1 {
+				cut := 1 + cuts.Int63n(ec-1)
+				mC, err := newConcMachine(cp, v, low.prog, depth, cut)
+				if err != nil {
+					return rep, err
+				}
+				errN := mN.StepUntil(cut)
+				_, errC := mC.Run(context.Background())
+				if errN == nil || errC == nil || errN.Error() != errC.Error() {
+					return rep, fmt.Errorf("%s: runs stopped at cycle %d with %v (naive) and %v (event-driven), want the budget error", label, cut, errN, errC)
+				}
+				if err := machine.Diff(mN, mC); err != nil {
+					return rep, fmt.Errorf("%s: naive vs event-driven at cycle %d: %w", label, cut, err)
+				}
+			}
+			if err := mN.StepUntil(concMaxCycles); err != nil {
+				return rep, fmt.Errorf("%s: naive run: %w", label, err)
 			}
 			if err := machine.Diff(mN, mE); err != nil {
 				return rep, fmt.Errorf("%s: naive vs event-driven: %w", label, err)
