@@ -113,7 +113,8 @@ type Core struct {
 	// singly-linked list of registration nodes for the producer in slot p;
 	// node id s*3+k is consumer slot s's registration for operand k, with
 	// wakeNext[id] the chain pointer. A node is registered at decode for
-	// each not-yet-done producer operand, and removed exactly once — when
+	// each not-yet-done producer operand (a store's or CAS's data operands
+	// instead when its address resolves), and removed exactly once — when
 	// the producer completes (fireWakes) or on squash (lists are wiped and
 	// surviving waiting entries re-registered) — so no node can sit in two
 	// lists.
@@ -932,15 +933,27 @@ func (c *Core) tryStartLoad(e *robEntry, seq uint64) {
 	}
 }
 
-func (c *Core) tryStartStore(e *robEntry, seq uint64) {
-	if c.srcReady(e.src1) && !e.addrOK {
-		raw := c.readSrc(e.src1, e.inst.Rs1) + e.inst.Imm
-		e.addr = c.img.Norm(raw)
-		e.faulted = !c.img.Valid(raw)
-		e.addrOK = true
-		c.progressed = true
+// resolveStoreAddr resolves a store's or CAS's address once its address
+// operand is ready, and then registers the entry on its in-flight data
+// producers. It reports whether the entry may start: its address is
+// resolved and no data producer is in flight.
+func (c *Core) resolveStoreAddr(e *robEntry, seq uint64) bool {
+	if e.addrOK {
+		return c.srcReady(e.src2) && c.srcReady(e.src3)
 	}
-	if !e.addrOK || !c.srcReady(e.src2) {
+	if !c.srcReady(e.src1) {
+		return false
+	}
+	raw := c.readSrc(e.src1, e.inst.Rs1) + e.inst.Imm
+	e.addr = c.img.Norm(raw)
+	e.faulted = !c.img.Valid(raw)
+	e.addrOK = true
+	c.progressed = true
+	return !c.regData(e, seq)
+}
+
+func (c *Core) tryStartStore(e *robEntry, seq uint64) {
+	if !c.resolveStoreAddr(e, seq) {
 		return
 	}
 	e.sval = c.readSrc(e.src2, e.inst.Rs2)
@@ -950,14 +963,7 @@ func (c *Core) tryStartStore(e *robEntry, seq uint64) {
 }
 
 func (c *Core) tryStartCAS(e *robEntry, seq uint64) {
-	if c.srcReady(e.src1) && !e.addrOK {
-		raw := c.readSrc(e.src1, e.inst.Rs1) + e.inst.Imm
-		e.addr = c.img.Norm(raw)
-		e.faulted = !c.img.Valid(raw)
-		e.addrOK = true
-		c.progressed = true
-	}
-	if !e.addrOK || !c.srcReady(e.src2) || !c.srcReady(e.src3) {
+	if !c.resolveStoreAddr(e, seq) {
 		return
 	}
 	// A CAS executes only from the ROB head (oldest in flight) and after

@@ -10,7 +10,9 @@ import "sfence/internal/isa"
 // marks; why nothing else can start):
 //
 //   - a producer completes: its registered consumers; operands wait on
-//     older producers only.
+//     older producers only. A store or CAS registers on its data
+//     producers only once its address resolves: until then its try can
+//     do nothing but resolve the address.
 //   - a store or CAS completes, or its address resolves: the loads
 //     registered on it. olderStoreBlocks stops at one blocker, the
 //     youngest older store or CAS whose address is unresolved, or is the
@@ -26,8 +28,8 @@ import "sfence/internal/isa"
 //     operand of anything else.
 //   - a squash: nothing; survivors, and all they wait on, are older than
 //     the squash point. The wake lists are rebuilt: each surviving
-//     waiting entry re-registers on its in-flight producers, and each
-//     surviving blocked load on its blocker.
+//     waiting entry re-registers on the in-flight producers its next try
+//     needs (regWakes), and each surviving blocked load on its blocker.
 //
 // The operand lists and the blocker lists are derived state: functions of
 // the window, rebuilt from it on a squash.
@@ -140,18 +142,28 @@ func (c *Core) regWake(src int64, consumer uint64, k int) bool {
 	return true
 }
 
-// regWakes registers all in-flight operand producers of a freshly decoded
-// (or squash-surviving) waiting entry and reports whether one of them
-// gates its first try: the address operand of a store or CAS, any operand
-// of anything else.
+// regWakes registers a freshly decoded (or squash-surviving) waiting
+// entry on the in-flight producers its next try needs, and reports
+// whether one of them gates that try. A store or CAS whose address is
+// unresolved needs only its address operand; its data operands register
+// when the address resolves (regData). Anything else needs every operand.
 func (c *Core) regWakes(e *robEntry, seq uint64) bool {
-	gated := c.regWake(e.src1, seq, 0)
-	late := c.regWake(e.src2, seq, 1)
-	late = c.regWake(e.src3, seq, 2) || late
 	if e.inst.Op == isa.OpStore || e.inst.Op == isa.OpCAS {
-		return gated
+		if !e.addrOK {
+			return c.regWake(e.src1, seq, 0)
+		}
+		return c.regData(e, seq)
 	}
-	return gated || late
+	gated := c.regWake(e.src1, seq, 0)
+	gated = c.regWake(e.src2, seq, 1) || gated
+	return c.regWake(e.src3, seq, 2) || gated
+}
+
+// regData registers a store or CAS with a resolved address on its
+// in-flight data producers and reports whether any is still in flight.
+func (c *Core) regData(e *robEntry, seq uint64) bool {
+	late := c.regWake(e.src2, seq, 1)
+	return c.regWake(e.src3, seq, 2) || late
 }
 
 // fireWakes marks every consumer registered on the completing entry as

@@ -3,7 +3,9 @@ package results
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"sfence/internal/cpu"
 	"sfence/internal/exp"
@@ -147,9 +149,31 @@ func ablationExperimentSpec(a AblationSpec) ExperimentSpec {
 
 // Experiments returns the registry in presentation order: the figures,
 // the ablation sweeps, the tables, the hardware-cost model, and finally
-// the suite-excluded per-kernel stats drill-down. The slice is freshly
-// built on every call; callers may reorder or filter it freely.
-func Experiments() []ExperimentSpec {
+// the suite-excluded per-kernel stats drill-down. The registry is built
+// once; each call returns a fresh copy of it, so callers may reorder or
+// filter the slice freely.
+func Experiments() []ExperimentSpec { return slices.Clone(theRegistry().specs) }
+
+// registry is the experiment table with its ID index and ID list. It is
+// built once and never mutated: the specs' closures are pure, so every
+// goroutine shares it.
+type registry struct {
+	specs []ExperimentSpec
+	byID  map[string]int
+	ids   []string
+}
+
+var theRegistry = sync.OnceValue(func() *registry {
+	r := &registry{specs: buildExperiments(), byID: map[string]int{}}
+	for i, s := range r.specs {
+		r.byID[s.ID] = i
+		r.ids = append(r.ids, s.ID)
+	}
+	return r
+})
+
+// buildExperiments constructs the registry table.
+func buildExperiments() []ExperimentSpec {
 	specs := []ExperimentSpec{
 		typedSpec("fig12", kindTitles[KindFigure12], KindFigure12, "BENCH_FIG12.json",
 			func(ctx context.Context, s *exp.Session, sc exp.Scale) ([]exp.SpeedupSeries, error) {
@@ -269,23 +293,17 @@ func StatsJSON(rows []exp.KernelSnapshot, sc exp.Scale) ([]byte, error) {
 	return Marshal(NewEnvelope(KindStats, statsTitle, sc, rows))
 }
 
-// ExperimentIDs lists every registered experiment ID in registry order.
-func ExperimentIDs() []string {
-	specs := Experiments()
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.ID
-	}
-	return ids
-}
+// ExperimentIDs lists every registered experiment ID in registry order,
+// in a fresh slice.
+func ExperimentIDs() []string { return slices.Clone(theRegistry().ids) }
 
 // LookupExperiment resolves an experiment ID, returning an
-// *ErrUnknownExperiment naming every valid ID on a miss.
+// *ErrUnknownExperiment naming every valid ID on a miss. A hit allocates
+// nothing.
 func LookupExperiment(id string) (ExperimentSpec, error) {
-	for _, s := range Experiments() {
-		if s.ID == id {
-			return s, nil
-		}
+	r := theRegistry()
+	if i, ok := r.byID[id]; ok {
+		return r.specs[i], nil
 	}
 	return ExperimentSpec{}, &ErrUnknownExperiment{ID: id, Valid: ExperimentIDs()}
 }

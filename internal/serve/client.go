@@ -141,8 +141,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 	if resp.StatusCode != http.StatusOK {
 		return apiError(resp)
 	}
+	// The buffer starts at bufio's default size and grows to the cap
+	// only for a long line; a reply is a few short lines.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, maxEventLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -186,6 +188,9 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	}
 	return data, nil
 }
+
+// maxEventLine caps the length of one NDJSON event line Events accepts.
+const maxEventLine = 1 << 20
 
 // maxPresize caps the buffer Result allocates up front from a response's
 // Content-Length.

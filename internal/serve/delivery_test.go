@@ -1,14 +1,19 @@
 package serve_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"sfence"
 	"sfence/internal/exp"
@@ -87,12 +92,12 @@ func TestServeRepliesCarryContentLength(t *testing.T) {
 	}
 }
 
-// resultServer serves handler as the result endpoint of job "j" and
-// returns a client for it.
-func resultServer(t *testing.T, handler http.HandlerFunc) *serve.Client {
+// jobServer serves handler at GET /v1/jobs/j/<endpoint> and returns a
+// client for it.
+func jobServer(t *testing.T, endpoint string, handler http.HandlerFunc) *serve.Client {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs/j/result", handler)
+	mux.HandleFunc("GET /v1/jobs/j/"+endpoint, handler)
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
 	return &serve.Client{BaseURL: hs.URL}
@@ -102,7 +107,7 @@ func resultServer(t *testing.T, handler http.HandlerFunc) *serve.Client {
 // (flushed mid-body, so chunked) still arrives whole.
 func TestClientResultChunked(t *testing.T) {
 	want := directEnvelope(t, "table4")
-	client := resultServer(t, func(w http.ResponseWriter, _ *http.Request) {
+	client := jobServer(t, "result", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write(want[:len(want)/2])
 		w.(http.Flusher).Flush()
 		w.Write(want[len(want)/2:])
@@ -124,7 +129,7 @@ func TestClientResultChunked(t *testing.T) {
 // Content-Length is an error, not a partial envelope.
 func TestClientResultShortBody(t *testing.T) {
 	want := directEnvelope(t, "table4")
-	client := resultServer(t, func(w http.ResponseWriter, _ *http.Request) {
+	client := jobServer(t, "result", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
 		w.Write(want[:len(want)-100])
 	})
@@ -134,5 +139,63 @@ func TestClientResultShortBody(t *testing.T) {
 	}
 	if got != nil {
 		t.Errorf("short body returned %d bytes with the error %v", len(got), err)
+	}
+}
+
+// eventServer serves body as the event stream of job "j" and returns a
+// client for it.
+func eventServer(t *testing.T, body []byte) *serve.Client {
+	t.Helper()
+	return jobServer(t, "events", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Write(body)
+	})
+}
+
+// eventLine is one NDJSON event line whose error text pads it to at
+// least n bytes.
+func eventLine(t *testing.T, state string, n int) ([]byte, serve.Event) {
+	t.Helper()
+	ev := serve.Event{Type: "state", Job: "j", State: state, Error: strings.Repeat("x", n)}
+	line, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(line, '\n'), ev
+}
+
+// TestClientEventsLongLine checks that an event line far longer than the
+// scanner's starting buffer decodes intact, between two short lines.
+func TestClientEventsLongLine(t *testing.T) {
+	first, _ := eventLine(t, serve.StateQueued, 0)
+	long, want := eventLine(t, serve.StateFailed, 256<<10)
+	client := eventServer(t, slices.Concat(first, long))
+	var got []serve.Event
+	err := client.Events(context.Background(), "j", func(ev serve.Event) error {
+		got = append(got, ev)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[1] != want {
+		t.Fatalf("got %d events, want 2 with the long one intact", len(got))
+	}
+}
+
+// TestClientEventsLineTooLong checks that a line above the 1 MiB cap
+// ends the stream with an error instead of growing without bound or
+// hanging.
+func TestClientEventsLineTooLong(t *testing.T) {
+	long, _ := eventLine(t, serve.StateFailed, 1<<20)
+	client := eventServer(t, long)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err := client.Events(ctx, "j", func(serve.Event) error {
+		t.Error("a line above the cap reached the callback")
+		return nil
+	})
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("Events returned %v, want %v", err, bufio.ErrTooLong)
 	}
 }

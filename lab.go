@@ -152,7 +152,9 @@ type ErrUnknownExperiment = results.ErrUnknownExperiment
 // Experiments returns the uniform experiment registry keyed by stable
 // IDs ("fig12" ... "fig16", "ablation/<name>", "table3", "table4",
 // "hwcost", "stats"). RunSuite, sfence-report, and sfence-bench all
-// iterate this one table instead of hand-listing entry points.
+// iterate this one table instead of hand-listing entry points. The
+// registry is built once; each call returns a fresh copy of it, so
+// callers may reorder or filter the slice freely.
 func Experiments() []ExperimentSpec { return results.Experiments() }
 
 // ExperimentIDs lists every registered experiment ID in registry order.
