@@ -53,32 +53,27 @@ type ExperimentSpec struct {
 	// the paper's chart.
 	Render func(data any) string
 
-	// store installs a payload into a Suite; nil marks experiments that
-	// RunSuite skips (stats is a drill-down artifact, not one of the
-	// paper's figures).
-	store func(*Suite, any)
-	// fromSuite reads the payload back out of a stored Suite, for
-	// artifact regeneration.
-	fromSuite func(*Suite) any
+	// drillDown marks the explicit-only experiments that RunSuite skips
+	// (stats is a drill-down artifact, not one of the paper's figures).
+	drillDown bool
 }
 
 // InSuite reports whether RunSuite executes this experiment (every
 // experiment except the explicit-only stats drill-down).
-func (e ExperimentSpec) InSuite() bool { return e.store != nil }
+func (e ExperimentSpec) InSuite() bool { return !e.drillDown }
 
 // typedSpec adapts strongly-typed experiment functions to the any-typed
 // ExperimentSpec fields, with a defensive payload type check on encode.
+// run has the shape of an exp.Session method expression.
 func typedSpec[T any](
 	id, title, kind, artifact string,
-	run func(ctx context.Context, s *exp.Session, sc exp.Scale) (T, error),
+	run func(*exp.Session, context.Context, exp.Scale) (T, error),
 	encode func(T, exp.Scale) ([]byte, error),
 	render func(T) string,
-	store func(*Suite, T),
-	fromSuite func(*Suite) T,
 ) ExperimentSpec {
 	es := ExperimentSpec{ID: id, Title: title, Kind: kind, Artifact: artifact}
 	es.Run = func(ctx context.Context, s *exp.Session, sc exp.Scale) (any, error) {
-		return run(ctx, s, sc)
+		return run(s, ctx, sc)
 	}
 	es.JSON = func(data any, sc exp.Scale) ([]byte, error) {
 		v, ok := data.(T)
@@ -94,57 +89,33 @@ func typedSpec[T any](
 		}
 		return render(v)
 	}
-	if store != nil {
-		es.store = func(su *Suite, data any) { store(su, data.(T)) }
-	}
-	if fromSuite != nil {
-		es.fromSuite = func(su *Suite) any { return fromSuite(su) }
-	}
 	return es
 }
 
 // groupFigureSpec builds the spec of one grouped-bar figure (13-16).
 func groupFigureSpec(id, kind, artifact, renderTitle string,
 	run func(*exp.Session, context.Context, exp.Scale) ([]exp.BenchGroup, error),
-	store func(*Suite, []exp.BenchGroup),
-	fromSuite func(*Suite) []exp.BenchGroup,
 ) ExperimentSpec {
-	return typedSpec(id, kindTitles[kind], kind, artifact,
-		func(ctx context.Context, s *exp.Session, sc exp.Scale) ([]exp.BenchGroup, error) {
-			return run(s, ctx, sc)
-		},
+	return typedSpec(id, kindTitles[kind], kind, artifact, run,
 		func(v []exp.BenchGroup, sc exp.Scale) ([]byte, error) { return GroupsJSON(kind, v, sc) },
 		func(v []exp.BenchGroup) string { return exp.RenderGroups(renderTitle, v) },
-		store, fromSuite,
 	)
 }
 
-// ablationExperimentSpec builds the spec of one ablation sweep. The
-// payload is a single AblationSet; standalone JSON output wraps it in a
-// one-set ablations envelope, while suite regeneration folds all sweeps
-// into the combined BENCH_ABLATIONS.json.
-func ablationExperimentSpec(a AblationSpec) ExperimentSpec {
-	fn := ablationFns[a.Name]
-	return typedSpec("ablation/"+a.Name, a.Title, KindAblations, "",
-		func(ctx context.Context, s *exp.Session, sc exp.Scale) (AblationSet, error) {
-			rows, err := fn(s, ctx, sc)
-			if err != nil {
-				return AblationSet{}, err
-			}
-			return AblationSet{Name: a.Name, Title: a.Title, Rows: rows}, nil
-		},
-		func(v AblationSet, sc exp.Scale) ([]byte, error) { return AblationsJSON([]AblationSet{v}, sc) },
-		func(v AblationSet) string { return exp.RenderAblation("Ablation — "+v.Title, v.Rows) },
-		func(su *Suite, v AblationSet) { su.Ablations = append(su.Ablations, v) },
-		func(su *Suite) AblationSet {
-			for _, set := range su.Ablations {
-				if set.Name == a.Name {
-					return set
-				}
-			}
-			return AblationSet{Name: a.Name, Title: a.Title}
-		},
-	)
+// ablations lists the ablation sweeps in presentation order: each is the
+// registry experiment "ablation/<name>" and one set of the combined
+// BENCH_ABLATIONS.json.
+var ablations = []struct {
+	name, title string
+	run         func(*exp.Session, context.Context, exp.Scale) ([]exp.AblationRow, error)
+}{
+	{"fsb-entries", "FSB entry count", (*exp.Session).AblationFSBEntries},
+	{"fss-depth", "FSS depth", (*exp.Session).AblationFSSDepth},
+	{"store-buffer", "Store buffer size", (*exp.Session).AblationStoreBuffer},
+	{"fifo-store-buffer", "FIFO (TSO-like) vs non-FIFO (RMO) store buffer", (*exp.Session).AblationFIFOStoreBuffer},
+	{"finer-fences", "Store-store put fence (Section VII combination); 0=full, 1=SS", (*exp.Session).AblationFinerFences},
+	{"nested-scopes", "Nested-scope pressure (FSB sharing / FSS overflow)", (*exp.Session).AblationNestedScopes},
+	{"fss-recovery", "FSS recovery: snapshot (0) vs paper shadow (1)", (*exp.Session).AblationRecovery},
 }
 
 // Experiments returns the registry in presentation order: the figures,
@@ -176,108 +147,68 @@ var theRegistry = sync.OnceValue(func() *registry {
 func buildExperiments() []ExperimentSpec {
 	specs := []ExperimentSpec{
 		typedSpec("fig12", kindTitles[KindFigure12], KindFigure12, "BENCH_FIG12.json",
-			func(ctx context.Context, s *exp.Session, sc exp.Scale) ([]exp.SpeedupSeries, error) {
-				return s.Figure12(ctx, sc)
-			},
-			Figure12JSON,
-			exp.RenderFigure12,
-			func(su *Suite, v []exp.SpeedupSeries) { su.Figure12 = v },
-			func(su *Suite) []exp.SpeedupSeries { return su.Figure12 },
-		),
+			(*exp.Session).Figure12, Figure12JSON, exp.RenderFigure12),
 		groupFigureSpec("fig13", KindFigure13, "BENCH_FIG13.json",
-			"Figure 13 — Normalized execution time (T, S, T+, S+)",
-			(*exp.Session).Figure13,
-			func(su *Suite, v []exp.BenchGroup) { su.Figure13 = v },
-			func(su *Suite) []exp.BenchGroup { return su.Figure13 }),
+			"Figure 13 — Normalized execution time (T, S, T+, S+)", (*exp.Session).Figure13),
 		groupFigureSpec("fig14", KindFigure14, "BENCH_FIG14.json",
-			"Figure 14 — Class scope vs. set scope",
-			(*exp.Session).Figure14,
-			func(su *Suite, v []exp.BenchGroup) { su.Figure14 = v },
-			func(su *Suite) []exp.BenchGroup { return su.Figure14 }),
+			"Figure 14 — Class scope vs. set scope", (*exp.Session).Figure14),
 		groupFigureSpec("fig15", KindFigure15, "BENCH_FIG15.json",
-			"Figure 15 — Varying memory access latency (200/300/500 cycles)",
-			(*exp.Session).Figure15,
-			func(su *Suite, v []exp.BenchGroup) { su.Figure15 = v },
-			func(su *Suite) []exp.BenchGroup { return su.Figure15 }),
+			"Figure 15 — Varying memory access latency (200/300/500 cycles)", (*exp.Session).Figure15),
 		groupFigureSpec("fig16", KindFigure16, "BENCH_FIG16.json",
-			"Figure 16 — Varying ROB size (64/128/256 entries)",
-			(*exp.Session).Figure16,
-			func(su *Suite, v []exp.BenchGroup) { su.Figure16 = v },
-			func(su *Suite) []exp.BenchGroup { return su.Figure16 }),
+			"Figure 16 — Varying ROB size (64/128/256 entries)", (*exp.Session).Figure16),
 		groupFigureSpec("fig-depth", KindFigureDepth, "BENCH_DEPTH.json",
-			"Depth sweep — Varying memory-hierarchy depth (2/3/4 levels)",
-			(*exp.Session).FigureDepth,
-			func(su *Suite, v []exp.BenchGroup) { su.FigureDepth = v },
-			func(su *Suite) []exp.BenchGroup { return su.FigureDepth }),
+			"Depth sweep — Varying memory-hierarchy depth (2/3/4 levels)", (*exp.Session).FigureDepth),
 		typedSpec("fig-cores", kindTitles[KindFigureCores], KindFigureCores, "BENCH_CORES.json",
-			func(ctx context.Context, s *exp.Session, sc exp.Scale) ([]exp.CoresRow, error) {
-				return s.FigureCores(ctx, sc)
-			},
-			CoresJSON,
-			exp.RenderCores,
-			func(su *Suite, v []exp.CoresRow) { su.FigureCores = v },
-			func(su *Suite) []exp.CoresRow { return su.FigureCores },
-		),
+			(*exp.Session).FigureCores, CoresJSON, exp.RenderCores),
 		typedSpec("fig-heatmap", kindTitles[KindHeatmap], KindHeatmap, "BENCH_HEATMAP.json",
-			func(ctx context.Context, s *exp.Session, sc exp.Scale) ([]exp.HeatmapRow, error) {
-				return s.FigureHeatmap(ctx, sc)
-			},
-			HeatmapJSON,
-			exp.RenderHeatmap,
-			func(su *Suite, v []exp.HeatmapRow) { su.Heatmap = v },
-			func(su *Suite) []exp.HeatmapRow { return su.Heatmap },
-		),
+			(*exp.Session).FigureHeatmap, HeatmapJSON, exp.RenderHeatmap),
 		groupFigureSpec("fig-inferred", KindInferred, "BENCH_INFERRED.json",
-			"Inferred scopes — T (traditional), S (hand annotations), I (static inference)",
-			(*exp.Session).FigureInferred,
-			func(su *Suite, v []exp.BenchGroup) { su.FigureInferred = v },
-			func(su *Suite) []exp.BenchGroup { return su.FigureInferred }),
+			"Inferred scopes — T (traditional), S (hand annotations), I (static inference)", (*exp.Session).FigureInferred),
 	}
-	for _, a := range AblationSpecs() {
-		specs = append(specs, ablationExperimentSpec(a))
+	// Standalone JSON output wraps one sweep's AblationSet in a one-set
+	// ablations envelope; a suite folds every sweep into the combined
+	// BENCH_ABLATIONS.json.
+	for _, a := range ablations {
+		specs = append(specs, typedSpec("ablation/"+a.name, a.title, KindAblations, "",
+			func(s *exp.Session, ctx context.Context, sc exp.Scale) (AblationSet, error) {
+				rows, err := a.run(s, ctx, sc)
+				return AblationSet{Name: a.name, Title: a.title, Rows: rows}, err
+			},
+			func(v AblationSet, sc exp.Scale) ([]byte, error) { return AblationsJSON([]AblationSet{v}, sc) },
+			func(v AblationSet) string { return exp.RenderAblation("Ablation — "+v.Title, v.Rows) },
+		))
 	}
 	specs = append(specs,
 		typedSpec("table3", kindTitles[KindTableIII], KindTableIII, "BENCH_TABLE3.json",
-			func(context.Context, *exp.Session, exp.Scale) ([]exp.TableIIIRow, error) {
+			func(*exp.Session, context.Context, exp.Scale) ([]exp.TableIIIRow, error) {
 				return exp.TableIII(machine.DefaultConfig()), nil
 			},
 			func(v []exp.TableIIIRow, sc exp.Scale) ([]byte, error) {
 				return Marshal(NewEnvelope(KindTableIII, kindTitles[KindTableIII], sc, v))
 			},
 			exp.RenderTableIIIRows,
-			func(su *Suite, v []exp.TableIIIRow) { su.TableIII = v },
-			func(su *Suite) []exp.TableIIIRow { return su.TableIII },
 		),
 		typedSpec("table4", kindTitles[KindTableIV], KindTableIV, "BENCH_TABLE4.json",
-			func(context.Context, *exp.Session, exp.Scale) ([]BenchmarkInfo, error) {
+			func(*exp.Session, context.Context, exp.Scale) ([]BenchmarkInfo, error) {
 				return TableIVInfos(), nil
 			},
 			func(v []BenchmarkInfo, sc exp.Scale) ([]byte, error) {
 				return Marshal(NewEnvelope(KindTableIV, kindTitles[KindTableIV], sc, v))
 			},
 			renderTableIVInfos,
-			func(su *Suite, v []BenchmarkInfo) { su.TableIV = v },
-			func(su *Suite) []BenchmarkInfo { return su.TableIV },
 		),
 		typedSpec("hwcost", kindTitles[KindHardwareCost], KindHardwareCost, "BENCH_HWCOST.json",
-			func(context.Context, *exp.Session, exp.Scale) (exp.HardwareCostReport, error) {
+			func(*exp.Session, context.Context, exp.Scale) (exp.HardwareCostReport, error) {
 				return exp.HardwareCost(cpu.DefaultConfig()), nil
 			},
 			HardwareCostJSON,
 			exp.RenderHardwareCost,
-			func(su *Suite, v exp.HardwareCostReport) { su.HardwareCost = v },
-			func(su *Suite) exp.HardwareCostReport { return su.HardwareCost },
-		),
-		typedSpec("stats", statsTitle, KindStats, "BENCH_STATS.json",
-			func(ctx context.Context, s *exp.Session, sc exp.Scale) ([]exp.KernelSnapshot, error) {
-				return s.KernelStats(ctx, sc)
-			},
-			StatsJSON,
-			exp.RenderKernelStats,
-			nil, nil,
 		),
 	)
-	return specs
+	stats := typedSpec("stats", statsTitle, KindStats, "BENCH_STATS.json",
+		(*exp.Session).KernelStats, StatsJSON, exp.RenderKernelStats)
+	stats.drillDown = true
+	return append(specs, stats)
 }
 
 // KindStats is the envelope kind of the per-kernel snapshot experiment.

@@ -31,9 +31,10 @@ func Claims() []Claim {
 				"workload sweep (the paper's peaks lie between 1.13x and 1.34x; " +
 				"peaks outside that range are flagged in the measured column).",
 			Check: func(s *Suite) (string, bool) {
-				ok := len(s.Figure12) == 4
-				parts := make([]string, 0, len(s.Figure12))
-				for _, series := range s.Figure12 {
+				all := payload[[]exp.SpeedupSeries](s, "fig12")
+				ok := len(all) == 4
+				parts := make([]string, 0, len(all))
+				for _, series := range all {
 					peak, at := series.Peak()
 					note := ""
 					switch {
@@ -57,9 +58,10 @@ func Claims() []Claim {
 			Text: "On full applications S-Fence never loses to traditional fences, " +
 				"with and without in-window speculation (S <= T, S+ <= T+).",
 			Check: func(s *Suite) (string, bool) {
-				ok := len(s.Figure13) == 4
-				parts := make([]string, 0, len(s.Figure13))
-				for _, g := range s.Figure13 {
+				groups := payload[[]exp.BenchGroup](s, "fig13")
+				ok := len(groups) == 4
+				parts := make([]string, 0, len(groups))
+				for _, g := range groups {
 					if len(g.Bars) != 4 {
 						return "malformed groups", false
 					}
@@ -81,9 +83,10 @@ func Claims() []Claim {
 			Text: "barnes and radiosity (set-scope applications) lose a large share " +
 				"of their fence stalls under S-Fence.",
 			Check: func(s *Suite) (string, bool) {
+				groups := payload[[]exp.BenchGroup](s, "fig13")
 				ok := false
 				parts := []string{}
-				for _, g := range s.Figure13 {
+				for _, g := range groups {
 					if g.Bench != "barnes" && g.Bench != "radiosity" {
 						continue
 					}
@@ -102,9 +105,10 @@ func Claims() []Claim {
 			Text: "Set scope performs slightly better than class scope, but the " +
 				"difference is not significant.",
 			Check: func(s *Suite) (string, bool) {
-				ok := len(s.Figure14) > 0
-				parts := make([]string, 0, len(s.Figure14))
-				for _, g := range s.Figure14 {
+				groups := payload[[]exp.BenchGroup](s, "fig14")
+				ok := len(groups) > 0
+				parts := make([]string, 0, len(groups))
+				for _, g := range groups {
 					cs, ss := g.Bars[0], g.Bars[1]
 					if ss.Total() > cs.Total()*1.10 {
 						ok = false
@@ -119,9 +123,10 @@ func Claims() []Claim {
 			Text: "S-Fence's advantage persists across memory latencies; for the " +
 				"set-scope applications S beats T at 200, 300, and 500 cycles.",
 			Check: func(s *Suite) (string, bool) {
-				ok := len(s.Figure15) > 0
+				groups := payload[[]exp.BenchGroup](s, "fig15")
+				ok := len(groups) > 0
 				parts := []string{}
-				for _, g := range s.Figure15 {
+				for _, g := range groups {
 					byLabel := map[string]exp.Bar{}
 					for _, b := range g.Bars {
 						byLabel[b.Label] = b
@@ -147,9 +152,10 @@ func Claims() []Claim {
 			Text: "S-Fence's advantage persists across ROB sizes (64/128/256); a " +
 				"larger window never hurts.",
 			Check: func(s *Suite) (string, bool) {
-				ok := len(s.Figure16) > 0
-				parts := make([]string, 0, len(s.Figure16))
-				for _, g := range s.Figure16 {
+				groups := payload[[]exp.BenchGroup](s, "fig16")
+				ok := len(groups) > 0
+				parts := make([]string, 0, len(groups))
+				for _, g := range groups {
 					byLabel := map[string]exp.Bar{}
 					for _, b := range g.Bars {
 						byLabel[b.Label] = b
@@ -168,9 +174,10 @@ func Claims() []Claim {
 				"semantics, not hierarchy shape: scoped fences never lose to " +
 				"traditional fences on 2-, 3-, or 4-level memory hierarchies.",
 			Check: func(s *Suite) (string, bool) {
-				ok := len(s.FigureDepth) == 8
+				groups := payload[[]exp.BenchGroup](s, "fig-depth")
+				ok := len(groups) == 8
 				worst := map[string]float64{}
-				for _, g := range s.FigureDepth {
+				for _, g := range groups {
 					byLabel := map[string]exp.Bar{}
 					for _, b := range g.Bars {
 						byLabel[b.Label] = b
@@ -201,6 +208,7 @@ func Claims() []Claim {
 				"pointer-chasing applications degrades soundly toward traditional " +
 				"fences — it never loses to them anywhere.",
 			Check: func(s *Suite) (string, bool) {
+				groups := payload[[]exp.BenchGroup](s, "fig-inferred")
 				// The kernels whose shared-access addresses the abstract
 				// interpreter resolves exactly; the rest reach shared data
 				// through loaded pointers, where over-flagging is the sound
@@ -208,9 +216,9 @@ func Claims() []Claim {
 				resolvable := map[string]bool{
 					"dekker": true, "wsq": true, "msn": true, "barnes": true, "radiosity": true,
 				}
-				ok := len(s.FigureInferred) == 8
+				ok := len(groups) == 8
 				worstVsT, worstVsS := 0.0, 0.0
-				for _, g := range s.FigureInferred {
+				for _, g := range groups {
 					if len(g.Bars) != 3 {
 						return "malformed groups", false
 					}
@@ -244,12 +252,13 @@ func Claims() []Claim {
 				"on the scalable kernels, scoped fences never lose to traditional " +
 				"fences at 8, 64, or 256 cores, and every row completes verified.",
 			Check: func(s *Suite) (string, bool) {
+				rows := payload[[]exp.CoresRow](s, "fig-cores")
 				type cell struct {
 					bench string
 					cores int
 				}
 				T, S := map[cell]exp.CoresRow{}, map[cell]exp.CoresRow{}
-				for _, r := range s.FigureCores {
+				for _, r := range rows {
 					c := cell{r.Bench, r.Cores}
 					if r.Mode == "T" {
 						T[c] = r
@@ -257,7 +266,7 @@ func Claims() []Claim {
 						S[c] = r
 					}
 				}
-				ok := len(s.FigureCores) == 2*len(exp.CoreCounts)*2
+				ok := len(rows) == 2*len(exp.CoreCounts)*2
 				worst := 0.0
 				worstAt := ""
 				for c, t := range T {
@@ -273,7 +282,7 @@ func Claims() []Claim {
 				if worst > 1.05 {
 					ok = false
 				}
-				return fmt.Sprintf("worst S/T cycles %.3f (%s) across %d rows", worst, worstAt, len(s.FigureCores)), ok
+				return fmt.Sprintf("worst S/T cycles %.3f (%s) across %d rows", worst, worstAt, len(rows)), ok
 			},
 		},
 		{
@@ -281,7 +290,8 @@ func Claims() []Claim {
 			Text: "The S-Fence hardware costs less than 80 bytes of storage per core " +
 				"for the Table III configuration.",
 			Check: func(s *Suite) (string, bool) {
-				return fmt.Sprintf("%.1f bytes/core", s.HardwareCost.TotalBytes), s.HardwareCost.PaperClaimOK
+				rep := payload[exp.HardwareCostReport](s, "hwcost")
+				return fmt.Sprintf("%.1f bytes/core", rep.TotalBytes), rep.PaperClaimOK
 			},
 		},
 	}
@@ -344,20 +354,23 @@ func (s *Suite) ExperimentsMD() string {
 	}
 	fmt.Fprintf(&sb, "\n**%d/%d claims reproduced.**\n\n", okCount, total)
 
+	block := func(body string) { sb.WriteString("```\n" + strings.TrimRight(body, "\n") + "\n```\n\n") }
 	section := func(title, body string) {
-		sb.WriteString("## " + title + "\n\n```\n")
-		sb.WriteString(strings.TrimRight(body, "\n"))
-		sb.WriteString("\n```\n\n")
+		sb.WriteString("## " + title + "\n\n")
+		block(body)
 	}
-	section(kindTitles[KindTableIII], exp.RenderTableIIIRows(s.TableIII))
-	section(kindTitles[KindTableIV], renderTableIVInfos(s.TableIV))
-	section(kindTitles[KindHardwareCost], exp.RenderHardwareCost(s.HardwareCost))
-	section(kindTitles[KindFigure12], exp.RenderFigure12(s.Figure12))
-	section(kindTitles[KindFigure13], exp.RenderGroups("Figure 13 — Normalized execution time (T, S, T+, S+)", s.Figure13))
-	section(kindTitles[KindFigure14], exp.RenderGroups("Figure 14 — Class scope vs. set scope", s.Figure14))
-	section(kindTitles[KindFigure15], exp.RenderGroups("Figure 15 — Varying memory access latency", s.Figure15))
-	section(kindTitles[KindFigure16], exp.RenderGroups("Figure 16 — Varying ROB size", s.Figure16))
-	section(kindTitles[KindFigureDepth], exp.RenderGroups("Depth sweep — Varying memory-hierarchy depth (2/3/4 levels)", s.FigureDepth))
+	// The section titles and chart titles below are the report's own; some
+	// differ from the registry renderers' titles.
+	groups := func(title, id string) string { return exp.RenderGroups(title, payload[[]exp.BenchGroup](s, id)) }
+	section(kindTitles[KindTableIII], exp.RenderTableIIIRows(payload[[]exp.TableIIIRow](s, "table3")))
+	section(kindTitles[KindTableIV], renderTableIVInfos(payload[[]BenchmarkInfo](s, "table4")))
+	section(kindTitles[KindHardwareCost], exp.RenderHardwareCost(payload[exp.HardwareCostReport](s, "hwcost")))
+	section(kindTitles[KindFigure12], exp.RenderFigure12(payload[[]exp.SpeedupSeries](s, "fig12")))
+	section(kindTitles[KindFigure13], groups("Figure 13 — Normalized execution time (T, S, T+, S+)", "fig13"))
+	section(kindTitles[KindFigure14], groups("Figure 14 — Class scope vs. set scope", "fig14"))
+	section(kindTitles[KindFigure15], groups("Figure 15 — Varying memory access latency", "fig15"))
+	section(kindTitles[KindFigure16], groups("Figure 16 — Varying ROB size", "fig16"))
+	section(kindTitles[KindFigureDepth], groups("Depth sweep — Varying memory-hierarchy depth (2/3/4 levels)", "fig-depth"))
 	sb.WriteString("The depth sweep generalizes Figure 15's sensitivity study from latencies to " +
 		"hierarchy *shape*: every Table IV benchmark runs on the canonical 2-, 3-, and 4-level " +
 		"hierarchies of `memsys.DepthConfig`, normalized per benchmark to the 2-level " +
@@ -369,7 +382,7 @@ func (s *Suite) ExperimentsMD() string {
 		"latency sweep: the fence-stall cost S-Fence removes scales with the memory system, " +
 		"not with the fence count.\n\n")
 
-	section(kindTitles[KindFigureCores], exp.RenderCores(s.FigureCores))
+	section(kindTitles[KindFigureCores], exp.RenderCores(payload[[]exp.CoresRow](s, "fig-cores")))
 	sb.WriteString("The core-count sweep runs the scalable `scale` kernels (a balanced " +
 		"ring-synchronized variant and a straggler-imbalanced barrier variant) on 8-, 64-, " +
 		"and 256-core machines — the last far beyond the 64-core ceiling the old " +
@@ -379,14 +392,14 @@ func (s *Suite) ExperimentsMD() string {
 		"though it parks the straggler variant's spinning cores through the barrier " +
 		"tail. Wall-clock measurements of the simulator itself come from " +
 		"`bash bench/run.sh`.\n\n")
-	section(kindTitles[KindHeatmap], exp.RenderHeatmap(s.Heatmap))
+	section(kindTitles[KindHeatmap], exp.RenderHeatmap(payload[[]exp.HeatmapRow](s, "fig-heatmap")))
 	sb.WriteString("The heatmap breaks each benchmark's fence stall down per static fence site " +
 		"(the `FenceProfile` plumbing), showing *which* fences the scoped semantics rescue: " +
 		"under T a handful of sites carry nearly all the stall; under S the same sites " +
 		"either leave the profile entirely (scoped fences skip the remote drain) or keep " +
 		"only their intra-scope share.\n\n")
 
-	section(kindTitles[KindInferred], exp.RenderGroups("Inferred scopes — T (traditional), S (hand annotations), I (static inference)", s.FigureInferred))
+	section(kindTitles[KindInferred], groups("Inferred scopes — T (traditional), S (hand annotations), I (static inference)", "fig-inferred"))
 	sb.WriteString("The inferred-scope experiment runs every Table IV benchmark a third way: the " +
 		"unannotated (traditional) build is handed to `scopecheck.Infer`, which computes each " +
 		"fence's pending-access footprint by abstract interpretation, rewrites every fence to " +
@@ -404,19 +417,16 @@ func (s *Suite) ExperimentsMD() string {
 		"with the SC oracle's checked projection.\n\n")
 
 	sb.WriteString("## Ablations (beyond the paper)\n\n")
-	for _, set := range s.Ablations {
-		sb.WriteString("```\n")
-		sb.WriteString(strings.TrimRight(exp.RenderAblation("Ablation — "+set.Title, set.Rows), "\n"))
-		sb.WriteString("\n```\n\n")
+	for _, r := range s.Results {
+		if _, ok := r.Data.(AblationSet); ok {
+			block(r.Render())
+		}
 	}
 
 	sb.WriteString("## Artifacts\n\n")
 	sb.WriteString("Machine-readable envelopes (schema v" + fmt.Sprint(SchemaVersion) + ") accompany this file:\n\n")
-	arts, err := s.Artifacts()
-	if err == nil {
-		for _, a := range arts {
-			fmt.Fprintf(&sb, "- `%s`\n", a.Name)
-		}
+	for _, name := range s.artifactNames() {
+		fmt.Fprintf(&sb, "- `%s`\n", name)
 	}
 	return sb.String()
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sfence/internal/exp"
@@ -348,6 +349,42 @@ func TestSuiteWarmCacheDeterminism(t *testing.T) {
 	}
 	if coldMD != warmMD {
 		t.Error("EXPERIMENTS.md not byte-identical across cache tiers")
+	}
+
+	// The suite holds one result per InSuite registry experiment, in
+	// registry order, and every artifact but the combined ablations file
+	// is its result's own envelope.
+	var want, got []string
+	for _, spec := range Experiments() {
+		if spec.InSuite() {
+			want = append(want, spec.ID)
+		}
+	}
+	byArtifact := map[string]*ExperimentResult{}
+	for i := range cold.Results {
+		r := &cold.Results[i]
+		got = append(got, r.Spec.ID)
+		byArtifact[r.Spec.Artifact] = r
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("suite result IDs %v, want the InSuite registry IDs %v", got, want)
+	}
+	for _, a := range coldArts {
+		if a.Name == "BENCH_ABLATIONS.json" {
+			continue
+		}
+		r, ok := byArtifact[a.Name]
+		if !ok {
+			t.Errorf("artifact %s has no suite result", a.Name)
+			continue
+		}
+		data, err := r.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Data, data) {
+			t.Errorf("artifact %s differs from %s's JSON()", a.Name, r.Spec.ID)
+		}
 	}
 	for _, c := range Claims() {
 		if _, ok := c.Check(cold); !ok {

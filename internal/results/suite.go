@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 
 	"sfence/internal/exp"
@@ -13,7 +13,10 @@ import (
 	"sfence/internal/machine"
 )
 
-// SuiteOptions parameterize a full evaluation run.
+// SuiteOptions configure an experiment session: the sizing, the
+// simulation runner, progress reporting and the worker pool. It is the
+// one options struct behind both a single experiment run (sfence.Lab)
+// and a full suite run (RunSuite).
 type SuiteOptions struct {
 	// Scale selects Quick or Full experiment sizing.
 	Scale exp.Scale
@@ -29,30 +32,47 @@ type SuiteOptions struct {
 	Parallelism int
 }
 
-// Suite holds every structured result of the paper's evaluation section
-// plus the repository's extra ablations — the full input to both the
+// ResolveRunner returns the runner that executes the options'
+// simulations: the explicit Runner, else the cache's memoizing runner,
+// else exp.DirectRun.
+func (o SuiteOptions) ResolveRunner() exp.Runner {
+	switch {
+	case o.Runner != nil:
+		return o.Runner
+	case o.Cache != nil:
+		return o.Cache.Run
+	}
+	return exp.DirectRun
+}
+
+// ExperimentResult is one experiment's payload plus the self-describing
+// spec that produced it.
+type ExperimentResult struct {
+	Spec  ExperimentSpec
+	Scale exp.Scale
+	// Data is the experiment's structured payload; its concrete type is
+	// the one the spec's Run returns (e.g. []exp.SpeedupSeries for
+	// "fig12", AblationSet for "ablation/*", exp.HardwareCostReport for
+	// "hwcost").
+	Data any
+}
+
+// JSON encodes the payload as its schema-versioned artifact envelope.
+func (r *ExperimentResult) JSON() ([]byte, error) { return r.Spec.JSON(r.Data, r.Scale) }
+
+// Render formats the payload as the ASCII equivalent of the paper's
+// chart or table.
+func (r *ExperimentResult) Render() string { return r.Spec.Render(r.Data) }
+
+// Suite is one run of the paper's evaluation section plus the
+// repository's extra ablations — the full input to both the
 // BENCH_*.json artifacts and EXPERIMENTS.md.
 type Suite struct {
-	Scale       exp.Scale
-	Figure12    []exp.SpeedupSeries
-	Figure13    []exp.BenchGroup
-	Figure14    []exp.BenchGroup
-	Figure15    []exp.BenchGroup
-	Figure16    []exp.BenchGroup
-	FigureDepth []exp.BenchGroup
-	// FigureInferred compares traditional fences, the hand-written scope
-	// annotations, and statically inferred scopes (kernels.Inferred) on
-	// every Table IV benchmark.
-	FigureInferred []exp.BenchGroup
-	// FigureCores sweeps the scale kernels across 8/64/256-core machines;
-	// Heatmap breaks every benchmark's fence stall down per static fence
-	// site. Both are deterministic simulated data (beyond the paper).
-	FigureCores  []exp.CoresRow
-	Heatmap      []exp.HeatmapRow
-	Ablations    []AblationSet
-	HardwareCost exp.HardwareCostReport
-	TableIII     []exp.TableIIIRow
-	TableIV      []BenchmarkInfo
+	Scale exp.Scale
+	// Results holds one result per suite experiment (InSuite), in
+	// registry order. Artifacts, Claims and ExperimentsMD read payloads
+	// by experiment ID; a new registry experiment needs no field here.
+	Results []ExperimentResult
 
 	// SimRequests and SimDistinct count the simulations the experiments
 	// asked for and the distinct configurations among them. Both are
@@ -66,40 +86,16 @@ type Suite struct {
 	CacheStats *CacheStats
 }
 
-// AblationSpec names one ablation sweep: the identity shared by the
-// combined BENCH_ABLATIONS.json artifact and the "ablation/<name>"
-// experiment IDs in the registry.
-type AblationSpec struct {
-	Name  string
-	Title string
-}
-
-// AblationSpecs lists the ablation sweeps in presentation order. It is
-// the single identity registry shared by RunSuite, sfence-report, and
-// sfence-bench, so every producer emits identical artifact identities.
-func AblationSpecs() []AblationSpec {
-	return []AblationSpec{
-		{"fsb-entries", "FSB entry count"},
-		{"fss-depth", "FSS depth"},
-		{"store-buffer", "Store buffer size"},
-		{"fifo-store-buffer", "FIFO (TSO-like) vs non-FIFO (RMO) store buffer"},
-		{"finer-fences", "Store-store put fence (Section VII combination); 0=full, 1=SS"},
-		{"nested-scopes", "Nested-scope pressure (FSB sharing / FSS overflow)"},
-		{"fss-recovery", "FSS recovery: snapshot (0) vs paper shadow (1)"},
+// payload returns the payload of experiment id in s, or the zero T when
+// s holds no result of that ID and type.
+func payload[T any](s *Suite, id string) (v T) {
+	for _, r := range s.Results {
+		if r.Spec.ID == id {
+			v, _ = r.Data.(T)
+			break
+		}
 	}
-}
-
-// ablationFns maps each ablation identity to the session method that
-// produces its rows (kept out of the public spec so AblationSpec stays a
-// pure identity record).
-var ablationFns = map[string]func(*exp.Session, context.Context, exp.Scale) ([]exp.AblationRow, error){
-	"fsb-entries":       (*exp.Session).AblationFSBEntries,
-	"fss-depth":         (*exp.Session).AblationFSSDepth,
-	"store-buffer":      (*exp.Session).AblationStoreBuffer,
-	"fifo-store-buffer": (*exp.Session).AblationFIFOStoreBuffer,
-	"finer-fences":      (*exp.Session).AblationFinerFences,
-	"nested-scopes":     (*exp.Session).AblationNestedScopes,
-	"fss-recovery":      (*exp.Session).AblationRecovery,
+	return v
 }
 
 // RunSuite executes every suite experiment of the registry at the given
@@ -116,13 +112,7 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*Suite, error) {
 	var mu sync.Mutex
 	requests := 0
 	seen := map[string]struct{}{}
-	base := opts.Runner
-	if base == nil && opts.Cache != nil {
-		base = opts.Cache.Run
-	}
-	if base == nil {
-		base = exp.DirectRun
-	}
+	base := opts.ResolveRunner()
 	counting := func(ctx context.Context, bench string, kopts kernels.Options, cfg machine.Config) (kernels.Result, error) {
 		mu.Lock()
 		requests++
@@ -145,7 +135,7 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*Suite, error) {
 		if err != nil {
 			return nil, fmt.Errorf("results: %s: %w", spec.ID, err)
 		}
-		spec.store(s, data)
+		s.Results = append(s.Results, ExperimentResult{Spec: spec, Scale: opts.Scale, Data: data})
 	}
 	s.SimRequests = requests
 	s.SimDistinct = len(seen)
@@ -173,37 +163,59 @@ type Artifact struct {
 	Data []byte
 }
 
-// Artifacts renders the suite's BENCH_*.json file set from the stored
-// results by iterating the experiment registry; the individual ablation
-// sweeps fold into the combined BENCH_ABLATIONS.json at their registry
-// position.
+// ablationsArtifact is the combined artifact that every ablation sweep
+// folds into.
+const ablationsArtifact = "BENCH_ABLATIONS.json"
+
+// artifactNames lists the suite's BENCH_*.json names in the order
+// Artifacts renders them: each result's own artifact, with the combined
+// BENCH_ABLATIONS.json at the first ablation sweep.
+func (s *Suite) artifactNames() []string {
+	var names []string
+	for _, r := range s.Results {
+		name := r.Spec.Artifact
+		if _, ok := r.Data.(AblationSet); ok {
+			name = ablationsArtifact
+		}
+		if name != "" && !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// Artifacts renders the suite's BENCH_*.json file set from its results
+// in order; the individual ablation sweeps fold into the combined
+// BENCH_ABLATIONS.json at the first sweep's position.
 func (s *Suite) Artifacts() ([]Artifact, error) {
 	var out []Artifact
-	ablationsDone := false
-	for _, spec := range Experiments() {
-		if !spec.InSuite() {
-			continue
-		}
-		if strings.HasPrefix(spec.ID, "ablation/") {
-			if ablationsDone {
-				continue
+	var sets []AblationSet
+	setsAt := 0 // index in out of the combined ablations artifact
+	for i := range s.Results {
+		r := &s.Results[i]
+		if set, ok := r.Data.(AblationSet); ok {
+			if len(sets) == 0 {
+				setsAt = len(out)
+				out = append(out, Artifact{Name: ablationsArtifact}) // encoded below, once every set is in
 			}
-			ablationsDone = true
-			data, err := AblationsJSON(s.Ablations, s.Scale)
-			if err != nil {
-				return nil, fmt.Errorf("results: BENCH_ABLATIONS.json: %w", err)
-			}
-			out = append(out, Artifact{Name: "BENCH_ABLATIONS.json", Data: data})
+			sets = append(sets, set)
 			continue
 		}
-		if spec.Artifact == "" {
+		if r.Spec.Artifact == "" {
 			continue
 		}
-		data, err := spec.JSON(spec.fromSuite(s), s.Scale)
+		data, err := r.JSON()
 		if err != nil {
-			return nil, fmt.Errorf("results: %s: %w", spec.Artifact, err)
+			return nil, fmt.Errorf("results: %s: %w", r.Spec.Artifact, err)
 		}
-		out = append(out, Artifact{Name: spec.Artifact, Data: data})
+		out = append(out, Artifact{Name: r.Spec.Artifact, Data: data})
+	}
+	if len(sets) > 0 {
+		data, err := AblationsJSON(sets, s.Scale)
+		if err != nil {
+			return nil, fmt.Errorf("results: %s: %w", ablationsArtifact, err)
+		}
+		out[setsAt].Data = data
 	}
 	return out, nil
 }

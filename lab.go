@@ -8,8 +8,11 @@ import (
 )
 
 // Lab is a session handle for running the paper's experiments: it owns
-// its runner, run cache, progress sink, and worker pool, so all
-// experiment state is per-session instead of per-process. Two Labs can
+// one set of options (scale, runner, run cache, progress sink, worker
+// pool) and the one session built from them, so all experiment state is
+// per-session instead of per-process. Run executes one experiment and
+// returns its ExperimentResult; RunSuite returns a Suite of those
+// results, one per suite experiment, in registry order. Two Labs can
 // run independent, cancellable evaluations concurrently in one process
 // without stomping each other's cache, runner, or progress reporting —
 // they share state only if they share a RunCache (which is itself safe
@@ -31,12 +34,7 @@ import (
 // passed to Run and RunSuite cancels or time-boxes the simulations
 // mid-cycle-loop (see Machine.Run).
 type Lab struct {
-	scale       Scale
-	cache       *RunCache
-	runner      ExperimentRunner
-	progress    ExperimentProgress
-	parallelism int
-
+	opts    results.SuiteOptions
 	session *exp.Session
 }
 
@@ -45,51 +43,42 @@ type LabOption func(*Lab)
 
 // WithCache memoizes every simulation of the Lab in c. Multiple Labs may
 // share one cache; a nil cache means every simulation runs directly.
-func WithCache(c *RunCache) LabOption { return func(l *Lab) { l.cache = c } }
+func WithCache(c *RunCache) LabOption { return func(l *Lab) { l.opts.Cache = c } }
 
 // WithScale selects the experiment sizing (Quick or Full; default Full).
-func WithScale(sc Scale) LabOption { return func(l *Lab) { l.scale = sc } }
+func WithScale(sc Scale) LabOption { return func(l *Lab) { l.opts.Scale = sc } }
 
 // WithProgress installs a per-experiment progress callback, invoked
 // concurrently from the Lab's worker pool.
-func WithProgress(p ExperimentProgress) LabOption { return func(l *Lab) { l.progress = p } }
+func WithProgress(p ExperimentProgress) LabOption { return func(l *Lab) { l.opts.Progress = p } }
 
 // WithParallelism bounds the Lab's worker pool (0 = GOMAXPROCS). Each
 // simulation is an independent deterministic machine, so the pool width
 // cannot change any result — only wall-clock time.
-func WithParallelism(n int) LabOption { return func(l *Lab) { l.parallelism = n } }
+func WithParallelism(n int) LabOption { return func(l *Lab) { l.opts.Parallelism = n } }
 
 // WithRunner overrides how the Lab executes simulations, taking
 // precedence over WithCache. This is the session-scoped replacement for
 // the long-gone global runner hook.
-func WithRunner(r ExperimentRunner) LabOption { return func(l *Lab) { l.runner = r } }
+func WithRunner(r ExperimentRunner) LabOption { return func(l *Lab) { l.opts.Runner = r } }
 
 // NewLab builds an experiment session from the given options. The
 // defaults are Full scale, no cache, no progress reporting, and a
 // GOMAXPROCS-wide worker pool.
 func NewLab(opts ...LabOption) *Lab {
-	l := &Lab{scale: Full}
+	l := &Lab{opts: results.SuiteOptions{Scale: Full}}
 	for _, opt := range opts {
 		opt(l)
 	}
-	// Resolve the runner exactly once (explicit runner > cache > direct)
-	// so Run and RunSuite cannot diverge on how simulations execute.
-	if l.runner == nil && l.cache != nil {
-		l.runner = l.cache.Run
-	}
-	l.session = exp.NewSession(l.runner, l.progress, l.parallelism)
+	l.session = exp.NewSession(l.opts.ResolveRunner(), l.opts.Progress, l.opts.Parallelism)
 	return l
 }
 
 // Scale returns the Lab's experiment sizing.
-func (l *Lab) Scale() Scale { return l.scale }
+func (l *Lab) Scale() Scale { return l.opts.Scale }
 
 // Cache returns the Lab's run cache (nil when uncached).
-func (l *Lab) Cache() *RunCache { return l.cache }
-
-// Experiments returns the experiment registry (see the package-level
-// Experiments function).
-func (l *Lab) Experiments() []ExperimentSpec { return Experiments() }
+func (l *Lab) Cache() *RunCache { return l.opts.Cache }
 
 // Run executes one experiment by ID on this Lab's session and returns
 // its payload bundled with the spec's encoder and renderer. An unknown
@@ -101,45 +90,22 @@ func (l *Lab) Run(ctx context.Context, id string) (*ExperimentResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := spec.Run(ctx, l.session, l.scale)
+	data, err := spec.Run(ctx, l.session, l.opts.Scale)
 	if err != nil {
 		return nil, err
 	}
-	return &ExperimentResult{Spec: spec, Scale: l.scale, Data: data}, nil
+	return &ExperimentResult{Spec: spec, Scale: l.opts.Scale, Data: data}, nil
 }
 
-// RunSuite executes every deterministic experiment of the registry on a
-// session configured like this Lab's and returns the aggregate Suite
-// (the input to WriteArtifacts and ExperimentsMD). Cancelling ctx aborts
-// the run with no partial Suite and therefore no artifacts.
-func (l *Lab) RunSuite(ctx context.Context) (*Suite, error) {
-	return results.RunSuite(ctx, results.SuiteOptions{
-		Scale:       l.scale,
-		Cache:       l.cache,
-		Runner:      l.runner,
-		Progress:    l.progress,
-		Parallelism: l.parallelism,
-	})
-}
+// RunSuite executes every suite experiment of the registry, configured
+// like this Lab, and returns the Suite of their results in registry
+// order (the input to WriteArtifacts and ExperimentsMD). Cancelling ctx
+// aborts the run with no partial Suite and therefore no artifacts.
+func (l *Lab) RunSuite(ctx context.Context) (*Suite, error) { return results.RunSuite(ctx, l.opts) }
 
 // ExperimentResult is one experiment's payload plus the self-describing
-// spec that produced it.
-type ExperimentResult struct {
-	Spec  ExperimentSpec
-	Scale Scale
-	// Data is the experiment's structured payload; its concrete type is
-	// the one the corresponding typed API returns (e.g. []SpeedupSeries
-	// for "fig12", AblationSet for "ablation/*", HardwareCostReport for
-	// "hwcost").
-	Data any
-}
-
-// JSON encodes the payload as its schema-versioned artifact envelope.
-func (r *ExperimentResult) JSON() ([]byte, error) { return r.Spec.JSON(r.Data, r.Scale) }
-
-// Render formats the payload as the ASCII equivalent of the paper's
-// chart or table.
-func (r *ExperimentResult) Render() string { return r.Spec.Render(r.Data) }
+// spec that produced it (see Lab.Run and Suite.Results).
+type ExperimentResult = results.ExperimentResult
 
 // ExperimentSpec describes one registry experiment: stable ID, title,
 // envelope kind, artifact name, and its run/encode/render functions.
@@ -151,7 +117,7 @@ type ErrUnknownExperiment = results.ErrUnknownExperiment
 
 // Experiments returns the uniform experiment registry keyed by stable
 // IDs ("fig12" ... "fig16", "ablation/<name>", "table3", "table4",
-// "hwcost", "stats"). RunSuite, sfence-report, and sfence-bench all
+// "hwcost", "stats"). Lab.RunSuite, sfence-report, and sfence-bench all
 // iterate this one table instead of hand-listing entry points. The
 // registry is built once; each call returns a fresh copy of it, so
 // callers may reorder or filter the slice freely.

@@ -15,7 +15,7 @@
 //     Experiments, Lab.Run, Lab.RunSuite).
 //
 // Every simulation is cancellable: Machine.Run, RunBenchmark,
-// Lab.Run, and RunSuite all take a context.Context that can cancel or
+// Lab.Run, and Lab.RunSuite all take a context.Context that can cancel or
 // time-box the cycle loop.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -283,14 +283,11 @@ type (
 	RunCache = results.RunCache
 	// CacheStats counts run-cache hits and misses.
 	CacheStats = results.CacheStats
-	// Suite holds every structured result of the evaluation suite.
+	// Suite holds the result of every suite experiment in registry
+	// order (see Lab.RunSuite).
 	Suite = results.Suite
-	// SuiteOptions parameterize RunSuite.
-	SuiteOptions = results.SuiteOptions
 	// AblationSet is one ablation sweep's identity plus rows.
 	AblationSet = results.AblationSet
-	// AblationSpecEntry names one ablation sweep in the shared registry.
-	AblationSpecEntry = results.AblationSpec
 	// ResultArtifact is one named BENCH_*.json file.
 	ResultArtifact = results.Artifact
 	// BaselineChange is one artifact's or EXPERIMENTS.md's drift against
@@ -326,21 +323,9 @@ func NewRunCacheLimited(dir string, maxDiskBytes int64) (*RunCache, error) {
 // NewMemCache returns an in-process-only run cache.
 func NewMemCache() *RunCache { return results.NewMemCache() }
 
-// RunSuite executes the full evaluation suite. Most callers want
-// NewLab(...).RunSuite(ctx) instead; this re-export exists for callers
-// composing their own SuiteOptions.
-func RunSuite(ctx context.Context, opts SuiteOptions) (*Suite, error) {
-	return results.RunSuite(ctx, opts)
-}
-
 // PaperClaims returns the machine-checkable claim checklist that
 // EXPERIMENTS.md scores the measured results against.
 func PaperClaims() []ResultClaim { return results.Claims() }
-
-// AblationSpecs returns the shared ablation registry, so every consumer
-// (sfence-bench, sfence-report, RunSuite) emits identical artifact
-// identities.
-func AblationSpecs() []AblationSpecEntry { return results.AblationSpecs() }
 
 // Generated-scenario differential checking (see DESIGN.md, "Differential
 // fuzzing"). CheckGenerated is the library entry behind the
