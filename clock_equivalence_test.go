@@ -161,7 +161,7 @@ func TestClockEquivalenceDepth3(t *testing.T) {
 
 // TestClockEquivalenceManyCore differences the scale kernels on wide
 // machines: 64 cores (the widest inline sharer bitmask), 65 (the first
-// paged sharer set) and 256. scale-imb's straggler computes while every
+// with extension sharer words) and 256. scale-imb's straggler computes while every
 // other core spins at the barrier, which is where the event-driven clock
 // parks spinners and catches them up at the release; scale has no such
 // tail, and at Workload 4 its longer private compute phases let the

@@ -44,6 +44,12 @@ type robEntry struct {
 	specPastFence bool // load executed past an unretired fence (spec mode)
 	accessedMem   bool // load/CAS reached the cache hierarchy
 
+	// olderStore is the distance back to the youngest store or CAS older
+	// than this entry that was in flight when it decoded, 0 if none. The
+	// links chain the window's stores and CASes for olderStoreBlocks; a
+	// link that reaches below head ends the chain.
+	olderStore uint32
+
 	// operand producer seqs (-1: read the committed register file)
 	src1, src2, src3 int64
 
@@ -100,6 +106,11 @@ type Core struct {
 	// schedule scans start here instead of at head (see scanStart).
 	donePrefix uint64
 
+	// lastStore is the seq of the youngest store or CAS decoded, -1 if
+	// none: the next decode links to it when it is still in flight, and a
+	// squash rewinds it from the squash point's own link.
+	lastStore int64
+
 	// nextComplete and nextSBDrain are conservative lower bounds (never
 	// later than the truth, possibly stale-early after a squash) on the
 	// next ROB completion and store-buffer drain. They gate the completeROB
@@ -131,9 +142,11 @@ type Core struct {
 	// wakePending says whether any is marked. See sched.go.
 	readyBits   []uint64
 	wakePending bool
-	// tries and starts count tryEntry calls and execution starts; the
-	// machine sums them as machine.clock.sched_tries and sched_starts.
-	tries, starts uint64
+	// tries and starts count tryEntry calls and execution starts, and
+	// storeChecks the older stores and CASes olderStoreBlocks visits; the
+	// machine sums them as machine.clock.sched_tries, sched_starts and
+	// store_checks.
+	tries, starts, storeChecks uint64
 
 	// completion min-heap, ordered by (readyAt, seq): every execution
 	// start pushes a node, completeROB pops the due ones. Lexicographic
@@ -149,12 +162,6 @@ type Core struct {
 	// event-driven clock (see clock.go).
 	progressed bool
 	accrual    stallAccrual
-
-	// issueSB scan scratch: the per-address occupancy of store-buffer
-	// entries already passed in the current scan, so the older-same-address
-	// check is O(1) per entry instead of a rescan of the buffer prefix.
-	sbSeen    map[int64]struct{}
-	sbTouched []int64
 
 	snoopPending []int64
 
@@ -196,9 +203,10 @@ func NewCore(id int, cfg Config, prog *isa.Program, startPC int, initRegs map[is
 		entries: make([]robEntry, cfg.ROBSize),
 		robMask: uint64(cfg.ROBSize - 1),
 		sb:      make([]sbEntry, 0, cfg.SBSize),
-		sbSeen:  make(map[int64]struct{}, cfg.SBSize),
 		pred:    newPredictor(cfg.PredictorBits),
 		fetchPC: startPC,
+
+		lastStore: -1,
 
 		nextComplete: NeverWakes,
 		nextSBDrain:  NeverWakes,
@@ -412,18 +420,8 @@ func (c *Core) issueSB() {
 	if c.sbInflight == len(c.sb) {
 		return // nothing waiting to issue (covers the empty buffer)
 	}
-	// One ascending pass with a per-address occupancy set: an entry has an
-	// older incomplete same-address store exactly when its address was
-	// already seen earlier in the pass (entries are kept in program order
-	// and drained entries are removed).
-	touched := c.sbTouched[:0]
 	for i := range c.sb {
 		e := &c.sb[i]
-		_, older := c.sbSeen[e.addr]
-		if !older {
-			c.sbSeen[e.addr] = struct{}{}
-			touched = append(touched, e.addr)
-		}
 		if e.inflight {
 			continue
 		}
@@ -434,8 +432,9 @@ func (c *Core) issueSB() {
 			break
 		}
 		// Per-location ordering: an older incomplete same-address store
-		// must drain first.
-		if older {
+		// must drain first. Entries are kept in program order and drained
+		// entries are removed, so every older entry is incomplete.
+		if c.sbOlderSameAddr(i) {
 			continue
 		}
 		lat := c.hier.Access(c.id, e.addr, true)
@@ -448,10 +447,19 @@ func (c *Core) issueSB() {
 		}
 		c.trace(TraceSBIssue, 0, isa.Instruction{Op: isa.OpStore}, e.readyAt)
 	}
-	for _, a := range touched {
-		delete(c.sbSeen, a)
+}
+
+// sbOlderSameAddr reports whether a store-buffer entry older than entry i
+// writes the same address. The buffer is small (SBSize), so a direct scan
+// beats any index over it.
+func (c *Core) sbOlderSameAddr(i int) bool {
+	addr := c.sb[i].addr
+	for j := 0; j < i; j++ {
+		if c.sb[j].addr == addr {
+			return true
+		}
 	}
-	c.sbTouched = touched[:0]
+	return false
 }
 
 // --- completion ---
@@ -845,41 +853,33 @@ func (c *Core) tryResolveBranch(e *robEntry, seq uint64) {
 	c.redirectUntil = c.cycle + 1 + int64(c.cfg.BranchPenalty)
 }
 
-// olderStoreBlocks scans program-order-older ROB stores for address
-// conflicts with a load at addr. It returns (blocker, forward, fval):
-// blocker is the seq of the store or CAS the load must wait on, or -1;
-// forward reports that a value can be bypassed.
+// olderStoreBlocks checks the program-order-older in-flight stores and
+// CASes for address conflicts with a load at addr, youngest first. It
+// follows the olderStore links, so it visits only stores and CASes, never
+// the loads and ALU ops between them. It returns (blocker, forward,
+// fval): blocker is the seq of the store or CAS the load must wait on, or
+// -1; forward reports that a value can be bypassed.
 func (c *Core) olderStoreBlocks(seq uint64, addr int64) (int64, bool, int64) {
-	for s := seq; s > c.head; {
-		s--
-		f := c.slot(s)
-		switch f.inst.Op {
-		case isa.OpStore:
-			if !f.addrOK {
-				return int64(s), false, 0 // unresolved older store address
-			}
-			if f.addr != addr {
-				continue
-			}
-			if f.stage == stDone {
-				return -1, true, f.sval // store-to-load forwarding
-			}
-			return int64(s), false, 0 // matching store, data not ready
-		case isa.OpCAS:
-			if !f.addrOK {
-				return int64(s), false, 0
-			}
-			if f.addr != addr {
-				continue
-			}
-			if f.stage == stDone {
-				// CAS already applied to memory; read from the image.
-				return -1, false, 0
-			}
-			return int64(s), false, 0
+	for s := seq; ; {
+		d := uint64(c.slot(s).olderStore)
+		if d == 0 || s-c.head < d {
+			return -1, false, 0 // no older store or CAS left in flight
 		}
+		s -= d
+		c.storeChecks++
+		f := c.slot(s)
+		switch {
+		case !f.addrOK:
+			return int64(s), false, 0 // unresolved older address
+		case f.addr != addr:
+			continue
+		case f.stage != stDone:
+			return int64(s), false, 0 // matching store or CAS not done
+		case f.inst.Op == isa.OpStore:
+			return -1, true, f.sval // store-to-load forwarding
+		}
+		return -1, false, 0 // CAS already applied; read from the image
 	}
-	return -1, false, 0
 }
 
 func (c *Core) tryStartLoad(e *robEntry, seq uint64) {
@@ -995,6 +995,11 @@ func (c *Core) squash(fromSeq uint64) {
 	}
 	c.progressed = true
 	c.spin.events++
+	// The youngest store or CAS to survive is the squash point's link.
+	c.lastStore = -1
+	if d := c.slot(fromSeq).olderStore; d != 0 {
+		c.lastStore = int64(fromSeq) - int64(d)
+	}
 	// Restore the fence scope stack to its state before fromSeq decoded.
 	switch c.cfg.Recovery {
 	case RecoverySnapshot:
@@ -1158,6 +1163,9 @@ func (c *Core) fetch() {
 		e.inst = in
 		e.pc = pc
 		e.src1, e.src2, e.src3 = -1, -1, -1
+		if c.lastStore >= int64(c.head) {
+			e.olderStore = uint32(seq - uint64(c.lastStore))
+		}
 		c.scope.snapshotInto(&e.snap)
 		c.progressed = true
 		c.trace(TraceDecode, seq, in, int64(pc))
@@ -1229,6 +1237,7 @@ func (c *Core) fetch() {
 			e.fsb = c.memFSB(in)
 			c.incBits(c.scope.robCnt, e.fsb)
 			c.robStoreCount++
+			c.lastStore = int64(seq)
 			e.stage = stWaiting
 		case isa.OpCAS:
 			e.src1 = c.resolveSrc(in.Rs1)
@@ -1238,6 +1247,7 @@ func (c *Core) fetch() {
 			c.incBits(c.scope.robCnt, e.fsb)
 			c.incBits(c.scope.robLoadCnt, e.fsb)
 			c.robIncompleteMem++
+			c.lastStore = int64(seq)
 			e.stage = stWaiting
 		default: // remaining ALU ops
 			e.src1 = c.resolveSrc(in.Rs1)

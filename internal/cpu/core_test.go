@@ -1,7 +1,10 @@
 package cpu
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"sfence/internal/isa"
 	"sfence/internal/memsys"
@@ -436,5 +439,112 @@ func TestStatsAdd(t *testing.T) {
 	}
 	if a.AvgROBOccupancy() != 4 {
 		t.Errorf("AvgROBOccupancy = %v, want 4", a.AvgROBOccupancy())
+	}
+}
+
+// wantIssued restates the store-buffer issue rule: an entry may issue
+// when it is not in flight, no older entry writes its address, and, in a
+// FIFO buffer, it is the head; of those, the oldest issue, as many as the
+// free MSHRs allow.
+func wantIssued(sb []sbEntry, mshrs int, fifo bool) []bool {
+	free := mshrs
+	for _, e := range sb {
+		if e.inflight {
+			free--
+		}
+	}
+	want := make([]bool, len(sb))
+	for i, e := range sb {
+		older := slices.ContainsFunc(sb[:i], func(o sbEntry) bool { return o.addr == e.addr })
+		if !e.inflight && !older && (!fifo || i == 0) && free > 0 {
+			want[i] = true
+			free--
+		}
+	}
+	return want
+}
+
+// TestIssueSBOrder pins issueSB's choice against wantIssued on random
+// reachable buffers (an entry in flight has no older same-address entry,
+// and a FIFO buffer has at most its head in flight), then runs a program
+// that stores repeatedly to three words, at every buffer size, MSHR count
+// and drain order the shipped configurations use.
+func TestIssueSBOrder(t *testing.T) {
+	const a = 4096
+	b := isa.NewBuilder()
+	b.Entry("main")
+	b.MovI(isa.R1, 0)
+	b.MovI(isa.R2, 20)
+	b.MovI(isa.R3, 3)
+	b.Label("loop")
+	b.AddI(isa.R1, isa.R1, 1)
+	b.Rem(isa.R4, isa.R1, isa.R3)
+	b.ShlI(isa.R4, isa.R4, 3)
+	b.Store(isa.R4, a, isa.R1)
+	b.Blt(isa.R1, isa.R2, "loop")
+	b.Halt()
+	p := b.MustBuild()
+
+	rng := rand.New(rand.NewPCG(1, 31))
+	for _, size := range []int{2, 8, 16} {
+		for _, mshrs := range []int{1, 8} {
+			for _, fifo := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.SBSize, cfg.MSHRs, cfg.FIFOStoreBuffer = size, mshrs, fifo
+				c, err := NewCore(0, cfg, p, 0, nil, memsys.NewImage(1<<20), memsys.MustHierarchy(1, memsys.DefaultConfig()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for trial := 0; trial < 200; trial++ {
+					c.sb, c.sbInflight = c.sb[:0], 0
+					for n := 1 + rng.IntN(size); len(c.sb) < n; {
+						e := sbEntry{addr: a + 8*int64(rng.IntN(4))}
+						older := slices.ContainsFunc(c.sb, func(o sbEntry) bool { return o.addr == e.addr })
+						if !older && c.sbInflight < mshrs && (!fifo || len(c.sb) == 0) && rng.IntN(3) == 0 {
+							e.inflight, e.readyAt = true, 1<<20
+							c.sbInflight++
+						}
+						c.sb = append(c.sb, e)
+					}
+					before := slices.Clone(c.sb)
+					want := wantIssued(before, mshrs, fifo)
+					c.cycle, c.nextSBDrain = int64(trial), NeverWakes
+					c.issueSB()
+					inflight := 0
+					for i, e := range c.sb {
+						if got := e.inflight && !before[i].inflight; got != want[i] {
+							t.Fatalf("SBSize %d, MSHRs %d, FIFO %v: entry %d of %+v issued %v, want %v",
+								size, mshrs, fifo, i, before, got, want[i])
+						}
+						if e.inflight {
+							inflight++
+						}
+						if want[i] && (e.readyAt <= c.cycle || c.nextSBDrain > e.readyAt) {
+							t.Fatalf("SBSize %d, MSHRs %d, FIFO %v: entry %d drains at %d, gate %d, cycle %d",
+								size, mshrs, fifo, i, e.readyAt, c.nextSBDrain, c.cycle)
+						}
+					}
+					if inflight != c.sbInflight || inflight > mshrs {
+						t.Fatalf("SBSize %d, MSHRs %d, FIFO %v: %d in flight, counted %d", size, mshrs, fifo, inflight, c.sbInflight)
+					}
+				}
+
+				img := memsys.NewImage(1 << 20)
+				runCore(t, cfg, p, "main", nil, img)
+				for k, v := range []int64{18, 19, 20} {
+					if got := img.Load(a + 8*int64(k)); got != v {
+						t.Errorf("SBSize %d, MSHRs %d, FIFO %v: word %d = %d, want %d", size, mshrs, fifo, k, got, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestROBEntrySize pins the reorder-buffer slot at 144 bytes: the window
+// is scanned slot by slot, so every added byte costs every scan.
+func TestROBEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(robEntry{}); n > 144 {
+		t.Errorf("robEntry is %d bytes, want at most 144", n)
 	}
 }

@@ -14,10 +14,11 @@ import "sfence/internal/isa"
 //     producers only once its address resolves: until then its try can
 //     do nothing but resolve the address.
 //   - a store or CAS completes, or its address resolves: the loads
-//     registered on it. olderStoreBlocks stops at one blocker, the
-//     youngest older store or CAS whose address is unresolved, or is the
-//     load's with no value yet, and a blocked load registers on exactly
-//     that entry; nothing older is read until it moves.
+//     registered on it. olderStoreBlocks walks the older stores and CASes
+//     youngest first, along the per-entry olderStore links, and stops at
+//     one blocker: the first whose address is unresolved, or is the
+//     load's with no value yet. A blocked load registers on exactly that
+//     entry; nothing older is read until it moves.
 //   - a store-buffer entry drains: the head, if it is a waiting CAS; a CAS
 //     waits for same-address drains, and loads never wait on the buffer.
 //   - retirement moves the head: the head, if it is a waiting CAS; a CAS
@@ -31,8 +32,11 @@ import "sfence/internal/isa"
 //     waiting entry re-registers on the in-flight producers its next try
 //     needs (regWakes), and each surviving blocked load on its blocker.
 //
-// The operand lists and the blocker lists are derived state: functions of
-// the window, rebuilt from it on a squash.
+// The operand lists, the blocker lists and the olderStore links are
+// derived state: functions of the window. The lists are rebuilt from it on
+// a squash; the links of survivors point only older, so a squash just
+// rewinds lastStore, the link the next decode takes, from the squash
+// point's own link.
 //
 // Start conditions never read the clock, so an entry no event marked would
 // start nothing. An address resolves inside the schedule pass, and the
@@ -51,6 +55,9 @@ func (c *Core) SchedTries() uint64 { return c.tries }
 
 // SchedStarts returns the entries the core started executing.
 func (c *Core) SchedStarts() uint64 { return c.starts }
+
+// StoreChecks returns the older stores and CASes olderStoreBlocks visited.
+func (c *Core) StoreChecks() uint64 { return c.storeChecks }
 
 // compNode schedules one executing entry's completion.
 type compNode struct {

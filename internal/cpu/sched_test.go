@@ -1,18 +1,33 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"sfence/internal/isa"
 	"sfence/internal/memsys"
 )
 
-// decodeRecorder collects the seqs decoded during one Tick.
-type decodeRecorder struct{ seqs []uint64 }
+// decodeRecorder collects the seqs decoded during one Tick, and the
+// opcode at which each squash of the run started. lastSquash is the seq
+// the Tick last squashed, -2 before any: a squash traces its entries in
+// ascending seq order, and a later squash in the same Tick starts below
+// the earlier one.
+type decodeRecorder struct {
+	seqs       []uint64
+	squashAt   []isa.Op
+	lastSquash int64
+}
 
-func (r *decodeRecorder) Trace(_ int64, _ int, ev TraceEvent, seq uint64, _ isa.Instruction, _ int64) {
-	if ev == TraceDecode {
+func (r *decodeRecorder) Trace(_ int64, _ int, ev TraceEvent, seq uint64, in isa.Instruction, _ int64) {
+	switch ev {
+	case TraceDecode:
 		r.seqs = append(r.seqs, seq)
+	case TraceSquash:
+		if int64(seq) != r.lastSquash+1 {
+			r.squashAt = append(r.squashAt, in.Op)
+		}
+		r.lastSquash = int64(seq)
 	}
 }
 
@@ -65,6 +80,43 @@ func (c *Core) olderMemBlocker(seq uint64, addr int64) (string, int64) {
 		return waitCASDone, int64(s)
 	}
 	return waitNotBlocked, -1
+}
+
+// checkStoreChain checks the olderStore links against the window: from
+// every in-flight entry they must reach exactly the older in-flight stores
+// and CASes, youngest first, and lastStore must be the youngest of the
+// window or lie below head.
+func checkStoreChain(t *testing.T, c *Core) {
+	t.Helper()
+	var stores []uint64 // in-flight stores and CASes, ascending
+	for seq := c.head; seq < c.tail; seq++ {
+		var got []uint64
+		for s := seq; ; {
+			d := uint64(c.slot(s).olderStore)
+			if d == 0 || s-c.head < d {
+				break
+			}
+			s -= d
+			got = append(got, s)
+		}
+		want := make([]uint64, 0, len(stores))
+		for i := len(stores) - 1; i >= 0; i-- {
+			want = append(want, stores[i])
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cycle %d: seq %d (%s) links to %v, want the older stores and CASes %v",
+				c.cycle, seq, c.slot(seq).inst, got, want)
+		}
+		if op := c.slot(seq).inst.Op; op == isa.OpStore || op == isa.OpCAS {
+			stores = append(stores, seq)
+		}
+	}
+	switch {
+	case len(stores) > 0 && c.lastStore != int64(stores[len(stores)-1]):
+		t.Fatalf("cycle %d: lastStore %d, want the youngest store or CAS %d", c.cycle, c.lastStore, stores[len(stores)-1])
+	case len(stores) == 0 && c.lastStore >= int64(c.head):
+		t.Fatalf("cycle %d: lastStore %d in a window [%d, %d) without stores", c.cycle, c.lastStore, c.head, c.tail)
+	}
 }
 
 // blockedOn maps each load slot on a blocker list to the slots of the
@@ -133,7 +185,10 @@ func (c *Core) waitReason(t *testing.T, seq uint64, on map[uint64][]uint64) stri
 			return waitOperand
 		}
 		why, blocker := c.olderMemBlocker(seq, e.addr)
-		if got, _, _ := c.olderStoreBlocks(seq, e.addr); got != blocker {
+		checks := c.storeChecks // the core's count excludes this probe
+		got, _, _ := c.olderStoreBlocks(seq, e.addr)
+		c.storeChecks = checks
+		if got != blocker {
 			t.Fatalf("seq %d (%s): olderStoreBlocks stops at %d, want %d (%q)", seq, e.inst, got, blocker, why)
 		}
 		if blocker >= 0 {
@@ -226,9 +281,10 @@ func checkFixedPoint(t *testing.T, c *Core, decoded []uint64) map[string]bool {
 }
 
 // runFixedPoint runs a single-core program tick by tick, checking the
-// scheduler's fixed point after each one, and returns the core, its memory
-// image and every wait reason observed.
-func runFixedPoint(t *testing.T, cfg Config, p *isa.Program) (*Core, *memsys.Image, map[string]bool) {
+// scheduler's fixed point and the store chain after each one, and returns
+// the core, its memory image, every wait reason observed and the opcodes
+// at which squashes started.
+func runFixedPoint(t *testing.T, cfg Config, p *isa.Program) (*Core, *memsys.Image, map[string]bool, []isa.Op) {
 	t.Helper()
 	img := memsys.NewImage(1 << 20)
 	c, err := NewCore(0, cfg, p, p.MustEntry("main"), nil, img, memsys.MustHierarchy(1, memsys.DefaultConfig()))
@@ -245,12 +301,13 @@ func runFixedPoint(t *testing.T, cfg Config, p *isa.Program) (*Core, *memsys.Ima
 		if cycle > 100_000 {
 			t.Fatal("runaway program")
 		}
-		rec.seqs = rec.seqs[:0]
+		rec.seqs, rec.lastSquash = rec.seqs[:0], -2
 		squashed := c.stats.Squashed
 		c.Tick(cycle)
 		for why := range checkFixedPoint(t, c, rec.seqs) {
 			seen[why] = true
 		}
+		checkStoreChain(t, c)
 		if c.stats.Squashed > squashed {
 			for seq := c.head; seq < c.tail; seq++ {
 				if c.slot(seq).stage == stWaiting {
@@ -262,7 +319,7 @@ func runFixedPoint(t *testing.T, cfg Config, p *isa.Program) (*Core, *memsys.Ima
 			t.FailNow()
 		}
 	}
-	return c, img, seen
+	return c, img, seen, rec.squashAt
 }
 
 // TestSchedulerFixedPoint drives one program per wake source and checks,
@@ -464,9 +521,197 @@ func TestSchedulerFixedPoint(t *testing.T) {
 				b.Halt()
 				cfg := DefaultConfig()
 				cfg.InWindowSpec = spec
-				c, img, seen := runFixedPoint(t, cfg, b.MustBuild())
+				c, img, seen, _ := runFixedPoint(t, cfg, b.MustBuild())
 				if got := c.tries - c.starts; got != tc.failed {
 					t.Errorf("%d tries started nothing (%d tries, %d starts), want %d", got, c.tries, c.starts, tc.failed)
+				}
+				for _, why := range tc.want {
+					if !seen[why] {
+						t.Errorf("never saw a %q wait (saw %v)", why, seen)
+					}
+				}
+				if got := c.Reg(tc.reg); got != tc.val {
+					t.Errorf("r%d = %d, want %d", tc.reg, got, tc.val)
+				}
+				if got := img.Load(tc.mem[0]); got != tc.mem[1] {
+					t.Errorf("mem[%d] = %d, want %d", tc.mem[0], got, tc.mem[1])
+				}
+			})
+		}
+	}
+}
+
+// TestStoreChain drives the olderStore links through the shapes that can
+// break them: loads behind non-memory entries, squashes that rewind
+// lastStore, and a ROB that wraps. runFixedPoint checks after every tick
+// that olderStoreBlocks stops where olderMemBlocker does and that the
+// links reach exactly the window's older stores and CASes.
+func TestStoreChain(t *testing.T) {
+	const a = 4096
+	cases := []struct {
+		name     string
+		rob      int // ROBSize; 0 keeps the default
+		build    func(b *isa.Builder)
+		want     []string // wait reasons the program must exhibit
+		squashAt []isa.Op // the opcodes at which squashes start, ascending
+		reg      isa.Reg  // reg must end with val
+		val      int64
+		mem      [2]int64 // and word mem[0] must hold mem[1]
+		// checks is the exact count of stores and CASes olderStoreBlocks
+		// visits; a walk that visits other entries raises it.
+		checks uint64
+	}{
+		{
+			// The load passes store B (another address) and waits on
+			// store A's late data; the ALU ops and the correctly
+			// predicted branches between them are never visited. Its
+			// first try visits B and A; A completes and retires in one
+			// tick, so its second visits B alone and forwards from the
+			// store buffer.
+			name: "load behind ALU ops and branches between two stores",
+			build: func(b *isa.Builder) {
+				b.MovI(isa.R1, a)
+				b.MovI(isa.R2, 7)
+				b.MovI(isa.R9, 1)
+				b.Div(isa.R3, isa.R2, isa.R9)
+				b.Store(isa.R1, 0, isa.R3)
+				b.AddI(isa.R5, isa.R1, 8)
+				b.Xor(isa.R6, isa.R5, isa.R9)
+				b.Bne(isa.R0, isa.R0, "skip")
+				b.AddI(isa.R6, isa.R6, 1)
+				b.Label("skip")
+				b.Beq(isa.R9, isa.R0, "skip2")
+				b.Store(isa.R5, 0, isa.R2)
+				b.Mul(isa.R7, isa.R6, isa.R9)
+				b.Label("skip2")
+				b.Load(isa.R4, isa.R1, 0)
+			},
+			want: []string{waitStoreData},
+			reg:  isa.R4, val: 7, mem: [2]int64{a + 8, 7},
+			checks: 3,
+		},
+		{
+			// A mispredicted branch squashes a wrong path that starts
+			// with a store, and the second div keeps store A in flight
+			// past the redirect. The load first runs down the wrong path
+			// (it visits the wrong-path store and A); decoded again after
+			// the redirect, it takes the seq the squashed store had, and
+			// only the rewound lastStore links it to A, from which it
+			// forwards (one check). Without the link it would read
+			// memory, which A has not reached.
+			name: "squash starting at a store",
+			build: func(b *isa.Builder) {
+				b.MovI(isa.R1, a)
+				b.MovI(isa.R2, 7)
+				b.MovI(isa.R9, 1)
+				b.Div(isa.R6, isa.R1, isa.R9)
+				b.Div(isa.R7, isa.R6, isa.R9)
+				b.Store(isa.R1, 0, isa.R2)
+				b.Beq(isa.R6, isa.R6, "taken")
+				b.Store(isa.R1, 8, isa.R2)
+				b.AddI(isa.R5, isa.R5, 100)
+				b.Label("taken")
+				b.Load(isa.R4, isa.R1, 0)
+				b.AddI(isa.R5, isa.R4, 1)
+			},
+			squashAt: []isa.Op{isa.OpStore},
+			reg:      isa.R5, val: 8, mem: [2]int64{a, 7},
+			checks: 3,
+		},
+		{
+			name: "squash starting at a CAS",
+			build: func(b *isa.Builder) {
+				b.MovI(isa.R1, a)
+				b.MovI(isa.R2, 7)
+				b.MovI(isa.R9, 1)
+				b.Div(isa.R6, isa.R1, isa.R9)
+				b.Div(isa.R7, isa.R6, isa.R9)
+				b.Store(isa.R1, 0, isa.R2)
+				b.Beq(isa.R6, isa.R6, "taken")
+				b.CAS(isa.R8, isa.R1, 8, isa.R0, isa.R2)
+				b.AddI(isa.R5, isa.R5, 100)
+				b.Label("taken")
+				b.Load(isa.R4, isa.R1, 0)
+				b.AddI(isa.R5, isa.R4, 1)
+			},
+			squashAt: []isa.Op{isa.OpCAS},
+			reg:      isa.R5, val: 8, mem: [2]int64{a, 7},
+			checks: 3,
+		},
+		{
+			// The wrong path starts with a branch and holds a store; the
+			// load after the redirect must skip it and wait on the CAS.
+			name: "squash starting at a branch",
+			build: func(b *isa.Builder) {
+				b.MovI(isa.R1, a)
+				b.MovI(isa.R2, 7)
+				b.MovI(isa.R9, 1)
+				b.Div(isa.R6, isa.R1, isa.R9)
+				b.CAS(isa.R8, isa.R1, 0, isa.R0, isa.R2)
+				b.Beq(isa.R6, isa.R6, "taken")
+				b.Bne(isa.R0, isa.R0, "taken")
+				b.Store(isa.R1, 0, isa.R9)
+				b.Label("taken")
+				b.Load(isa.R4, isa.R1, 0)
+				b.AddI(isa.R5, isa.R4, 1)
+			},
+			want:     []string{waitCASDone},
+			squashAt: []isa.Op{isa.OpBne},
+			reg:      isa.R5, val: 8, mem: [2]int64{a, 7},
+			checks: 2,
+		},
+		{
+			// An 8-entry ROB wraps many times over a loop that stores
+			// and reloads one word, with a second store on odd
+			// iterations behind a branch the predictor keeps missing, so
+			// squashes start at that store inside a wrapped window (and
+			// at the loop head when the exit is mispredicted).
+			name: "ROB wrap-around",
+			rob:  8,
+			build: func(b *isa.Builder) {
+				b.MovI(isa.R1, a)
+				b.MovI(isa.R2, 0)
+				b.MovI(isa.R3, 12)
+				b.Label("loop")
+				b.AddI(isa.R2, isa.R2, 1)
+				b.Store(isa.R1, 0, isa.R2)
+				b.AndI(isa.R6, isa.R2, 1)
+				b.Beq(isa.R6, isa.R0, "even")
+				b.Store(isa.R1, 8, isa.R2)
+				b.Label("even")
+				b.Load(isa.R4, isa.R1, 0)
+				b.Add(isa.R5, isa.R5, isa.R4)
+				b.Blt(isa.R2, isa.R3, "loop")
+			},
+			want:     []string{waitOperand},
+			squashAt: []isa.Op{isa.OpAddI, isa.OpStore},
+			reg:      isa.R5, val: 78, mem: [2]int64{a + 8, 11},
+			checks: 9,
+		},
+	}
+	for _, tc := range cases {
+		for _, spec := range []bool{false, true} {
+			name := tc.name
+			if spec {
+				name += "/spec"
+			}
+			t.Run(name, func(t *testing.T) {
+				b := isa.NewBuilder()
+				b.Entry("main")
+				tc.build(b)
+				b.Halt()
+				cfg := DefaultConfig()
+				cfg.InWindowSpec = spec
+				if tc.rob != 0 {
+					cfg.ROBSize = tc.rob
+				}
+				c, img, seen, squashAt := runFixedPoint(t, cfg, b.MustBuild())
+				slices.Sort(squashAt)
+				if got := slices.Compact(squashAt); !slices.Equal(got, tc.squashAt) {
+					t.Errorf("squashes started at %v, want %v", got, tc.squashAt)
+				}
+				if c.storeChecks != tc.checks {
+					t.Errorf("%d store checks, want %d", c.storeChecks, tc.checks)
 				}
 				for _, why := range tc.want {
 					if !seen[why] {

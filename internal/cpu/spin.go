@@ -504,9 +504,11 @@ func spinCreditStats(s, d *Stats, times uint64) {
 //     (popped in deterministic (readyAt, seq) order), the operand wake
 //     lists are exactly the waiting entries' not-yet-done producers, the
 //     blocker lists hold exactly the waiting loads with addrOK, each on
-//     the store or CAS olderStoreBlocks stops at, and per-tick scratch
-//     (accrual, stall dedup flags) is rebuilt from scratch each Tick.
-//     List order is not captured: a fired list only sets ready bits.
+//     the store or CAS olderStoreBlocks stops at, the olderStore links
+//     and lastStore name the nearest older store or CAS in the window (or
+//     one below head, which reads as none), and per-tick scratch (accrual,
+//     stall dedup flags) is rebuilt from scratch each Tick. List order is
+//     not captured: a fired list only sets ready bits.
 func (c *Core) spinCapture(buf []uint64) []uint64 {
 	const none = ^uint64(0)
 	relSeq := func(s int64) uint64 {

@@ -10,7 +10,7 @@ import (
 
 // CoreCounts are the machine widths the fig-cores experiment sweeps. 8 is
 // the paper's Table III machine, 64 the old directory-bitmask ceiling,
-// and 256 exercises the paged sharer representation end to end.
+// and 256 exercises the directory's extension sharer words end to end.
 var CoreCounts = []int{8, 64, 256}
 
 // coresBenches are the scalable workloads of the sweep: the balanced
@@ -48,7 +48,7 @@ func coresSizing(sc Scale) (int, int) {
 // kernels at 8, 64, and 256 cores under traditional and scoped fences.
 // It answers the scaling form of the paper's question — does S-Fence's
 // advantage survive machine width? — and doubles as the end-to-end
-// exercise of the many-core memory system (paged sharer sets, 256-way
+// exercise of the many-core memory system (extension sharer words, 256-way
 // invalidation broadcasts) inside the ordinary experiment pipeline.
 func (s *Session) FigureCores(ctx context.Context, sc Scale) ([]CoresRow, error) {
 	ops, wl := coresSizing(sc)

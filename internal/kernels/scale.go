@@ -35,7 +35,7 @@ func init() {
 // synchronization round. The compute phases are private L1 hits; the
 // per-round synchronization is the only cross-core interaction. The
 // read-shared table gives every line a full-machine sharer set, which at
-// 65+ threads exercises the directory's paged sharer representation.
+// 65+ threads exercises the directory's extension sharer words.
 //
 // scale (straggle == 1) synchronizes over a ring: publish the running
 // checksum to a comm slot, fence, read the left neighbor's slot.

@@ -263,6 +263,7 @@ func (m *Machine) registerMachineStats(g *stats.Group) {
 	clock.Derived("spin_observes", "ticks in which a spin detector ran past its gate, summed across cores", sum((*cpu.Core).SpinObserves))
 	clock.Derived("sched_tries", "scheduling tries (tryEntry calls), summed across cores", sum((*cpu.Core).SchedTries))
 	clock.Derived("sched_starts", "ROB entries started executing, summed across cores", sum((*cpu.Core).SchedStarts))
+	clock.Derived("store_checks", "older stores and CASes a load's ordering check visited, summed across cores", sum((*cpu.Core).StoreChecks))
 	clock.Derived("tracer_pinned", "1 when a per-cycle tracer disabled fast-forwarding", func() uint64 {
 		if m.clock.TracerPinned {
 			return 1

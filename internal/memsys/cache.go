@@ -161,27 +161,21 @@ type l1Cache struct {
 	tick  uint64
 }
 
-// tagLine is one line of an outer level. The directory fields (sharers,
-// owner, dirty) are maintained only at the outermost shared level; middle
-// levels use just tag/valid/dirty/lru.
+// tagLine is one line of an outer level: 32 bytes and no pointers, so a
+// multi-megabyte tag array is one flat allocation the garbage collector
+// never scans. The directory fields (low, owner, dirty) are maintained
+// only at the outermost shared level; middle levels use just
+// tag/valid/dirty/lru. The line's sharer set is tagStore.sharers(l): the
+// inline low word plus, on machines of more than 64 cores, the line's run
+// of the directory's extension words, found through idx.
 type tagLine struct {
-	tag     int64
-	valid   bool
-	dirty   bool
-	sharers sharerSet // cores with a private copy (S/E/M)
-	owner   int16     // core index holding E/M, or -1
-	lru     uint64
-}
-
-// reset re-points the line at tag with empty directory state, keeping
-// the sharer set's extension pages for reuse. The caller touches the
-// line afterwards, so the stale lru stamp never survives.
-func (l *tagLine) reset(tag int64) {
-	l.tag = tag
-	l.valid = true
-	l.dirty = false
-	l.sharers.clear()
-	l.owner = -1
+	tag   int64
+	lru   uint64
+	low   uint64 // sharers among cores 0..63
+	idx   int32  // the line's index in its store's lines
+	owner int16  // core index holding E/M, or -1
+	valid bool
+	dirty bool
 }
 
 // tagStore is one bank of an outer cache level: the single array of a
@@ -191,6 +185,29 @@ type tagStore struct {
 	sets  int
 	lines []tagLine
 	tick  uint64
+
+	// ext holds the directory's sharer words for cores 64 and up,
+	// extWords per line, line i's at ext[i*extWords:(i+1)*extWords]. It
+	// is allocated with the hierarchy and is empty on machines of at most
+	// 64 cores and at every level but the directory's.
+	ext      []uint64
+	extWords int
+}
+
+// sharers returns the sharer set of line l, one of c's lines.
+func (c *tagStore) sharers(l *tagLine) sharerSet {
+	i := int(l.idx) * c.extWords
+	return sharerSet{low: &l.low, ext: c.ext[i : i+c.extWords : i+c.extWords]}
+}
+
+// reset re-points line l at tag with empty directory state. The caller
+// touches the line afterwards, so the stale lru stamp never survives.
+func (c *tagStore) reset(l *tagLine, tag int64) {
+	l.tag = tag
+	l.valid = true
+	l.dirty = false
+	c.sharers(l).clear()
+	l.owner = -1
 }
 
 // outerLevel is one cache level beyond the innermost: a banked tag store.
@@ -275,6 +292,10 @@ type Hierarchy struct {
 	// stats registry.
 	ver []uint64
 
+	// all is the set of every core, the sharer mask assumed for a line
+	// the directory has lost (see evictOuter).
+	all sharerSet
+
 	// OnDisturb, when set, is called whenever a remote action
 	// (coherence invalidation, ownership downgrade, inclusive
 	// back-invalidation) touches one of core's private copies, with the
@@ -308,7 +329,8 @@ func NewHierarchy(cores int, cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg, cores: cores, stats: make([]CoreStats, cores), ver: make([]uint64, cores)}
+	h := &Hierarchy{cfg: cfg, cores: cores, stats: make([]CoreStats, cores), ver: make([]uint64, cores), all: newSharerSet(cores)}
+	h.all.fill(cores)
 	for i := range h.stats {
 		h.stats[i].Level = make([]LevelStats, len(cfg.Levels))
 	}
@@ -332,14 +354,20 @@ func NewHierarchy(cores int, cfg Config) (*Hierarchy, error) {
 		}
 		lv := outerLevel{cfg: lcfg, banks: make([]tagStore, nbanks)}
 		for b := range lv.banks {
-			lv.banks[b] = tagStore{
+			ts := tagStore{
 				cfg:   lcfg,
 				sets:  lcfg.Sets(),
 				lines: make([]tagLine, lcfg.Sets()*lcfg.Ways),
 			}
-			for i := range lv.banks[b].lines {
-				lv.banks[b].lines[i].owner = -1
+			if j == len(h.outer)-1 {
+				ts.extWords = extWords(cores)
+				ts.ext = make([]uint64, len(ts.lines)*ts.extWords)
 			}
+			for i := range ts.lines {
+				ts.lines[i].idx = int32(i)
+				ts.lines[i].owner = -1
+			}
+			lv.banks[b] = ts
 		}
 		h.outer[j] = lv
 	}
@@ -431,8 +459,9 @@ func (h *Hierarchy) lineOf(addr int64) int64 { return addr >> h.lineShift }
 // replay — and relies on the exact per-core spec-load occupancy count
 // instead (see DESIGN.md, "Snoop filtering").
 func (h *Hierarchy) Sharers(addr int64) ([]int, bool) {
-	if l := h.directory().find(h.lineOf(addr)); l != nil {
-		return l.sharers.members(), true
+	dir := h.directory()
+	if l := dir.find(h.lineOf(addr)); l != nil {
+		return dir.sharers(l).members(), true
 	}
 	return nil, false
 }
@@ -554,7 +583,7 @@ func (h *Hierarchy) dropPrivateMiddleCopies(core int, line int64) {
 // copy and Writebacks for a modified innermost copy. The walk visits
 // sharers in ascending core order — the same order the historical
 // all-cores loop produced — but costs O(sharers), not O(cores).
-func (h *Hierarchy) invalidatePrivateCopies(line int64, sharers *sharerSet, except int) {
+func (h *Hierarchy) invalidatePrivateCopies(line int64, sharers sharerSet, except int) {
 	sharers.forEach(func(c int) {
 		if c == except || c >= h.cores {
 			return
@@ -607,17 +636,14 @@ func (h *Hierarchy) markOuterDirty(fromOuter, core int, tag int64) {
 // stale; a later invalidation of the stale sharer is a harmless no-op).
 func (h *Hierarchy) evictOuter(j, core int, v *tagLine) {
 	if h.outer[j].cfg.Shared {
-		mask := &v.sharers
-		if j != len(h.outer)-1 {
-			// Middle shared level: the set lives at the directory; an
-			// absent directory entry means assume every core.
-			if dl := h.directory().find(v.tag); dl != nil {
-				mask = &dl.sharers
-			} else {
-				var all sharerSet
-				all.fill(h.cores)
-				mask = &all
-			}
+		// A middle shared level's set lives at the directory; an absent
+		// directory entry means assume every core.
+		dir := h.directory()
+		mask := h.all
+		if j == len(h.outer)-1 {
+			mask = dir.sharers(v)
+		} else if dl := dir.find(v.tag); dl != nil {
+			mask = dir.sharers(dl)
 		}
 		h.invalidatePrivateCopies(v.tag, mask, -1)
 		for i := 0; i < j; i++ {
@@ -701,12 +727,14 @@ func (h *Hierarchy) Access(core int, addr int64, write bool) int {
 			st.Level[0].Hits++
 			st.Upgrades++
 			lat := h.pathLatency()
-			if dl := h.directory().find(line); dl != nil {
-				h.invalidatePrivateCopies(line, &dl.sharers, core)
-				dl.sharers.only(core)
+			dir := h.directory()
+			if dl := dir.find(line); dl != nil {
+				ds := dir.sharers(dl)
+				h.invalidatePrivateCopies(line, ds, core)
+				ds.only(core)
 				dl.owner = int16(core)
 				dl.dirty = true
-				h.directory().touch(dl)
+				dir.touch(dl)
 			}
 			l.state = l1Modified
 			return lat
@@ -746,7 +774,7 @@ func (h *Hierarchy) Access(core int, addr int64, write bool) int {
 		if v.valid {
 			h.evictOuter(len(h.outer)-1, core, v)
 		}
-		v.reset(line)
+		dir.reset(v, line)
 		dl = v
 	} else {
 		// The line is present at the directory by inclusion (the
@@ -758,7 +786,7 @@ func (h *Hierarchy) Access(core int, addr int64, write bool) int {
 			if v.valid {
 				h.evictOuter(len(h.outer)-1, core, v)
 			}
-			v.reset(line)
+			dir.reset(v, line)
 			dl = v
 		}
 		// If another core holds the line modified, it must supply the
@@ -791,14 +819,15 @@ func (h *Hierarchy) Access(core int, addr int64, write bool) int {
 	dir.touch(dl)
 
 	// Coherence action at the directory.
+	ds := dir.sharers(dl)
 	if write {
-		h.invalidatePrivateCopies(line, &dl.sharers, core)
-		dl.sharers.only(core)
+		h.invalidatePrivateCopies(line, ds, core)
+		ds.only(core)
 		dl.owner = int16(core)
 		dl.dirty = true
 	} else {
-		dl.sharers.add(core)
-		if !dl.sharers.lone(core) {
+		ds.add(core)
+		if !ds.lone(core) {
 			dl.owner = -1
 		}
 	}
@@ -820,7 +849,7 @@ func (h *Hierarchy) Access(core int, addr int64, write bool) int {
 		if v.valid {
 			h.evictOuter(j, core, v)
 		}
-		v.reset(line)
+		b.reset(v, line)
 		b.touch(v)
 	}
 
@@ -839,7 +868,7 @@ func (h *Hierarchy) Access(core int, addr int64, write bool) int {
 	switch {
 	case write:
 		v.state = l1Modified
-	case dl.sharers.lone(core):
+	case ds.lone(core):
 		v.state = l1Exclusive
 		dl.owner = int16(core)
 	default:

@@ -2,7 +2,10 @@ package memsys
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // TestSharers pins the directory accessor's semantics — and the property
@@ -41,18 +44,46 @@ func TestSharers(t *testing.T) {
 	}
 }
 
-// TestManyCoreSharers audits the uint64-mask assumptions at 65 and 256
-// cores: membership past bit 63, invalidation fan-out, write reset, and
-// the O(sharers) iteration order.
+// smallDirectory is a two-level config small enough that a 4096-core
+// hierarchy builds in well under a megabyte: 4 L1 lines per core, a
+// 64-line shared level with the directory.
+func smallDirectory() Config {
+	return Config{
+		Levels: []CacheConfig{
+			{SizeBytes: 256, Ways: 2, LineBytes: 64, Latency: 2},
+			{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, Latency: 10, Shared: true},
+		},
+		MemLatency:         300,
+		RemoteDirtyPenalty: 10,
+	}
+}
+
+// sharerCoreCounts spans the inline word alone (8), the first extension
+// word (65), whole words (128, 256) and MaxCores.
+var sharerCoreCounts = []int{8, 65, 128, 256, MaxCores}
+
+// probeCores returns 0, 63, 64, 127, 128, 300 and cores-1, those below
+// cores, ascending and without repeats.
+func probeCores(cores int) []int {
+	var out []int
+	for _, c := range []int{0, 63, 64, 127, 128, 300, cores - 1} {
+		if c < cores && !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestManyCoreSharers drives the directory through Access past bit 63:
+// membership, invalidation fan-out over the extension words, write reset
+// and the ascending member order.
 func TestManyCoreSharers(t *testing.T) {
-	for _, cores := range []int{65, 256} {
-		h := MustHierarchy(cores, DefaultConfig())
+	for _, cores := range sharerCoreCounts[1:] {
+		h := MustHierarchy(cores, smallDirectory())
 		const addr = 1 << 14
 
-		readers := []int{0, 5, 63, 64}
-		if cores-1 > 64 {
-			readers = append(readers, cores-1)
-		}
+		readers := probeCores(cores)
 		for _, c := range readers {
 			h.Access(c, addr, false)
 		}
@@ -90,46 +121,140 @@ func TestManyCoreSharers(t *testing.T) {
 	}
 }
 
-// TestSharerSetOps unit-tests the hybrid set directly across the
-// inline/extension boundary.
+// TestSharerSetOps unit-tests the set operations on the directory's flat
+// layout: (cores-1)/64 extension words per line, built with the
+// hierarchy, and no aliasing between neighbouring lines.
 func TestSharerSetOps(t *testing.T) {
-	var s sharerSet
-	for _, c := range []int{0, 63, 64, 127, 128, 300} {
-		s.add(c)
-		if !s.contains(c) {
-			t.Fatalf("add(%d) not visible", c)
+	for _, cores := range sharerCoreCounts {
+		h := MustHierarchy(cores, smallDirectory())
+		dir := h.directory()
+		if want := (cores - 1) / 64; dir.extWords != want || len(dir.ext) != want*len(dir.lines) {
+			t.Fatalf("cores=%d: %d words per line, %d in all; want %d, %d",
+				cores, dir.extWords, len(dir.ext), want, want*len(dir.lines))
 		}
-	}
-	if got := s.members(); !reflect.DeepEqual(got, []int{0, 63, 64, 127, 128, 300}) {
-		t.Fatalf("members = %v", got)
-	}
-	if s.lone(64) {
-		t.Fatalf("multi-member set misreported as lone")
-	}
-	s.only(64)
-	if !s.lone(64) || s.contains(0) || s.contains(300) {
-		t.Fatalf("only(64) = %v", s.members())
-	}
-	s.only(3)
-	if !s.lone(3) {
-		t.Fatalf("lone(3) false after only(3) with ext pages present")
-	}
+		last := len(dir.lines) - 1
+		s := dir.sharers(&dir.lines[last-1])
+		next := dir.sharers(&dir.lines[last])
 
-	var f sharerSet
-	for _, n := range []int{1, 63, 64, 65, 130, 256} {
-		f.fill(n)
-		want := make([]int, n)
-		for i := range want {
-			want[i] = i
+		probes := probeCores(cores)
+		for _, c := range probes {
+			s.add(c)
+			if !s.contains(c) {
+				t.Fatalf("cores=%d: add(%d) not visible", cores, c)
+			}
+			if next.contains(c) {
+				t.Fatalf("cores=%d: add(%d) leaked into the next line", cores, c)
+			}
 		}
-		if got := f.members(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("fill(%d): %d members, first/last %v", n, len(got), got)
+		if got := s.members(); !reflect.DeepEqual(got, probes) {
+			t.Fatalf("cores=%d: members = %v, want %v", cores, got, probes)
+		}
+		var walked []int
+		s.forEach(func(c int) { walked = append(walked, c) })
+		if !reflect.DeepEqual(walked, probes) {
+			t.Fatalf("cores=%d: forEach order %v, want %v", cores, walked, probes)
+		}
+		for c := 0; c < cores; c++ {
+			if s.contains(c) != slices.Contains(probes, c) {
+				t.Fatalf("cores=%d: contains(%d) = %v", cores, c, s.contains(c))
+			}
+		}
+		if s.lone(probes[0]) || s.lone(probes[len(probes)-1]) {
+			t.Fatalf("cores=%d: multi-member set misreported as lone", cores)
+		}
+		for _, c := range []int{cores - 1, 3} {
+			s.only(c)
+			if !s.lone(c) || !reflect.DeepEqual(s.members(), []int{c}) {
+				t.Fatalf("cores=%d: only(%d) = %v", cores, c, s.members())
+			}
+			if other := (c + 64) % cores; other != c && s.lone(other) {
+				t.Fatalf("cores=%d: lone(%d) true for {%d}", cores, other, c)
+			}
+		}
+		s.clear()
+		if s.members() != nil || s.lone(0) {
+			t.Fatalf("cores=%d: clear left %v", cores, s.members())
+		}
+
+		for _, n := range []int{1, 63, 64, 65, 130, cores} {
+			if n > cores {
+				continue
+			}
+			s.fill(n)
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			if got := s.members(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cores=%d: fill(%d) gave %d members", cores, n, len(got))
+			}
+		}
+		if next.members() != nil {
+			t.Fatalf("cores=%d: the next line picked up %v", cores, next.members())
 		}
 	}
+}
 
-	c := s.clone()
-	c.add(200)
-	if s.contains(200) {
-		t.Fatalf("clone aliases the original")
+// TestTagLineLayout pins the outer-level line at 32 bytes with no
+// pointer, so a tag array is one flat allocation the garbage collector
+// never scans.
+func TestTagLineLayout(t *testing.T) {
+	if n := unsafe.Sizeof(tagLine{}); n > 32 {
+		t.Errorf("tagLine is %d bytes, want at most 32", n)
+	}
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: tagLine must hold no pointer", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(tagLine{}), "tagLine")
+}
+
+// TestManyCoreSharedAccessAllocs checks that directory traffic on a line
+// shared by all 256 cores allocates nothing once the hierarchy is built:
+// a write invalidates 255 copies through the extension words and the
+// reads that follow re-add every core.
+func TestManyCoreSharedAccessAllocs(t *testing.T) {
+	const cores, addr = 256, 1 << 14
+	h := MustHierarchy(cores, DefaultConfig())
+	round := 0
+	access := func() {
+		h.Access(round%cores, addr, true)
+		for c := 0; c < cores; c++ {
+			h.Access(c, addr, false)
+		}
+		round++
+	}
+	access()
+	if set, _ := h.Sharers(addr); len(set) != cores {
+		t.Fatalf("%d sharers after every core read the line, want %d", len(set), cores)
+	}
+	if n := testing.AllocsPerRun(20, access); n != 0 {
+		t.Errorf("steady-state shared-line traffic allocates %.1f times per round", n)
+	}
+}
+
+// TestNewHierarchyAllocation bounds what an 8-core Table III hierarchy
+// allocates: eight 32 KB L1 tag arrays (96 KiB) and the 1 MB L2's
+// (512 KiB with 32-byte lines, 1 MiB with the old 64-byte ones).
+func TestNewHierarchyAllocation(t *testing.T) {
+	const bound = 6 << 20 / 10 // 0.6 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := MustHierarchy(8, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(h)
+	if n := after.TotalAlloc - before.TotalAlloc; n > bound {
+		t.Errorf("NewHierarchy(8) allocated %d bytes, want at most %d", n, bound)
 	}
 }

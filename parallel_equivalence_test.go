@@ -181,9 +181,9 @@ func TestParallelEquivalenceLitmus(t *testing.T) {
 }
 
 // TestParallelEquivalenceManyCore runs the scale kernels concurrently on
-// wide machines — 65 cores (the first paged sharer set past the inline
-// bitmask) and 256 cores — where each copy pages its own sharer sets and
-// parks its own barrier spinners.
+// wide machines — 65 cores (the first with sharer words past the inline
+// bitmask) and 256 cores — where each copy has its own directory
+// extension words and parks its own barrier spinners.
 func TestParallelEquivalenceManyCore(t *testing.T) {
 	for _, tc := range []struct {
 		bench    string
