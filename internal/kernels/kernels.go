@@ -107,7 +107,11 @@ type Kernel struct {
 	// MemInit seeds individual words of the memory image before the run.
 	MemInit map[int64]int64
 	// InitImage, if non-nil, performs bulk image initialization (large
-	// arrays, graphs) before the run; it runs after MemInit.
+	// arrays, graphs) before the run; it runs after MemInit. A read-only
+	// table whose values depend only on its size is best built once per
+	// process and shared copy-on-write with memsys.Image.Share, as barnes
+	// and radiosity do; the pages it covers must then hold no MemInit
+	// word.
 	InitImage func(img *memsys.Image)
 	// Verify checks the final memory image; nil means no check.
 	Verify func(img *memsys.Image) error
@@ -117,8 +121,11 @@ type Kernel struct {
 	Regions []scopecheck.Region
 }
 
-// LoadImage writes the kernel's initial data into img: the MemInit words,
-// then InitImage's bulk initialization.
+// LoadImage writes the kernel's initial data into img, a fresh image:
+// the MemInit words first, then InitImage's bulk initialization. The
+// order matters to a kernel whose InitImage shares a base image, since
+// Share needs the base's pages still empty; a caller that performs the
+// two steps itself must keep it.
 func (k *Kernel) LoadImage(img *memsys.Image) {
 	for addr, val := range k.MemInit {
 		img.Store(addr, val)

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"sfence/internal/isa"
 	"sfence/internal/machine"
@@ -176,7 +177,6 @@ func buildSCIKernel(name string, prm sciParams, opts Options) (*Kernel, error) {
 		return nil, err
 	}
 
-	posVal := func(i int64) int64 { return (i*2654435761 + 12345) & 0xffff }
 	threads := make([]machine.Thread, opts.Threads)
 	expect := make([]int64, opts.Threads)
 	for t := 0; t < opts.Threads; t++ {
@@ -224,9 +224,7 @@ func buildSCIKernel(name string, prm sciParams, opts Options) (*Kernel, error) {
 		}),
 		Threads: threads,
 		InitImage: func(img *memsys.Image) {
-			for i := int64(0); i < prm.posWords; i++ {
-				img.Store(pos+i*8, posVal(i))
-			}
+			img.Share(posTable(img.Size(), pos, prm.posWords))
 		},
 		Verify: func(img *memsys.Image) error {
 			for t := 0; t < opts.Threads; t++ {
@@ -237,4 +235,38 @@ func buildSCIKernel(name string, prm sciParams, opts Options) (*Kernel, error) {
 			return nil
 		},
 	}, nil
+}
+
+// posVal is word i of a position table.
+func posVal(i int64) int64 { return (i*2654435761 + 12345) & 0xffff }
+
+// posTables holds every position table built so far, keyed by image
+// size, table address and words. Its values depend on nothing else, so
+// each is built once per process and every run's image shares it
+// copy-on-write; no run writes it, so no page is ever copied. barnes and
+// radiosity hold one entry each per image size (3 MiB at the default).
+var posTables struct {
+	sync.Mutex
+	m map[[3]int64]*memsys.Image
+}
+
+// posTable returns the never-written image of the given size that holds
+// the words-word position table at byte address addr, building it on
+// first use.
+func posTable(size, addr, words int64) *memsys.Image {
+	posTables.Lock()
+	defer posTables.Unlock()
+	key := [3]int64{size, addr, words}
+	if img := posTables.m[key]; img != nil {
+		return img
+	}
+	img := memsys.NewImage(size)
+	for i := range words {
+		img.Store(addr+i*8, posVal(i))
+	}
+	if posTables.m == nil {
+		posTables.m = make(map[[3]int64]*memsys.Image)
+	}
+	posTables.m[key] = img
+	return img
 }

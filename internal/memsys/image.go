@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -34,9 +35,25 @@ type page [pageWords]int64
 // included) never allocate. Stores to distinct words may run
 // concurrently: a missing page is installed with a compare-and-swap so
 // racing first stores agree on one page.
+//
+// An image can also start from a base image of the same size (Share): it
+// installs the base's pages and shares them copy-on-write. Loads and
+// failing CASes read a shared page in place; the first Store or
+// successful CAS to a shared page copies it, and installs the copy with
+// the same compare-and-swap, so racing first stores to one shared page
+// still all land in one copy. Any number of images may share one base,
+// concurrently, but the base itself must never be written once shared:
+// build it, then only share, load and compare it.
 type Image struct {
 	pages []atomic.Pointer[page]
 	mask  int64 // byte-address mask (size-1, with low 3 bits cleared by Norm)
+
+	base *Image // image whose pages im shares copy-on-write, or nil
+
+	// span is [lo, hi), the page range a base holds, found once when
+	// the image is first shared.
+	span   sync.Once
+	lo, hi int
 }
 
 // NewImage returns an image of the given size in bytes, rounded up to the
@@ -66,61 +83,102 @@ func (im *Image) Valid(addr int64) bool {
 	return addr >= 0 && addr <= im.mask && addr%WordBytes == 0
 }
 
-// locate returns the page slot and in-page word index of addr (normalized).
-func (im *Image) locate(addr int64) (*atomic.Pointer[page], int64) {
+// locate returns the page index and in-page word index of addr
+// (normalized).
+func (im *Image) locate(addr int64) (int64, int64) {
 	w := im.Norm(addr) / WordBytes
-	return &im.pages[w>>pageShift], w & (pageWords - 1)
+	return w >> pageShift, w & (pageWords - 1)
 }
 
 // Load returns the word at addr (normalized); a never-written word is 0.
 func (im *Image) Load(addr int64) int64 {
-	slot, i := im.locate(addr)
-	if p := slot.Load(); p != nil {
+	pi, i := im.locate(addr)
+	if p := im.pages[pi].Load(); p != nil {
 		return p[i]
 	}
 	return 0
 }
 
 // Store writes the word at addr (normalized), allocating its page on the
-// first store to it.
+// first store to it, or copying it on the first store to a shared page.
 func (im *Image) Store(addr, val int64) {
-	slot, i := im.locate(addr)
-	p := slot.Load()
-	if p == nil {
-		p = install(slot)
+	pi, i := im.locate(addr)
+	p := im.pages[pi].Load()
+	if p == nil || im.shared(pi, p) {
+		p = im.install(pi, p)
 	}
 	p[i] = val
 }
 
-// install allocates the page for slot, or returns the one a concurrent
-// Store installed first.
-func install(slot *atomic.Pointer[page]) *page {
+// shared reports whether p, the page in slot pi, is the base's.
+func (im *Image) shared(pi int64, p *page) bool {
+	return im.base != nil && p == im.base.pages[pi].Load()
+}
+
+// install replaces page pi's slot, missing or shared (old), with a page of
+// im's own: a new one, or a copy of the shared one. It returns the page a
+// concurrent Store installed first, if any, so racing first stores agree
+// on one page.
+func (im *Image) install(pi int64, old *page) *page {
 	p := new(page)
-	if slot.CompareAndSwap(nil, p) {
+	if old != nil {
+		*p = *old
+	}
+	if im.pages[pi].CompareAndSwap(old, p) {
 		return p
 	}
-	return slot.Load()
+	return im.pages[pi].Load()
 }
 
 // CompareAndSwap replaces the word at addr with new if it currently
 // equals old, and reports whether it did. It is atomic with respect to
 // the simulation loop, which never runs two accesses to one word at
-// once; it is not a host-level atomic. A word on a missing page holds 0,
-// so a CAS expecting anything else fails without allocating.
+// once; it is not a host-level atomic. A failing CAS writes nothing, so
+// it neither allocates a missing page (whose words hold 0) nor copies a
+// shared one.
 func (im *Image) CompareAndSwap(addr, old, new int64) bool {
-	slot, i := im.locate(addr)
-	p := slot.Load()
-	if p == nil {
-		if old != 0 {
-			return false
-		}
-		p = install(slot)
+	pi, i := im.locate(addr)
+	p := im.pages[pi].Load()
+	var cur int64
+	if p != nil {
+		cur = p[i]
 	}
-	if p[i] != old {
+	if cur != old {
 		return false
+	}
+	if p == nil || im.shared(pi, p) {
+		p = im.install(pi, p)
 	}
 	p[i] = new
 	return true
+}
+
+// Share makes im start from base's contents: it installs every page base
+// holds into the same slot of im, to be copied on im's first write to it.
+// It walks only the page range base holds. base must have im's size, and
+// im must hold no page where base holds one and share no other base;
+// Share panics otherwise. base must never be written afterwards.
+func (im *Image) Share(base *Image) {
+	if base.Size() != im.Size() {
+		panic(fmt.Sprintf("memsys: sharing a %d-byte base into a %d-byte image", base.Size(), im.Size()))
+	}
+	if im.base != nil {
+		panic("memsys: image already shares a base")
+	}
+	base.span.Do(func() {
+		base.lo, base.hi = len(base.pages), 0
+		for pi := range base.pages {
+			if base.pages[pi].Load() != nil {
+				base.lo, base.hi = min(base.lo, pi), pi+1
+			}
+		}
+	})
+	im.base = base
+	for pi := base.lo; pi < base.hi; pi++ {
+		if p := base.pages[pi].Load(); p != nil && !im.pages[pi].CompareAndSwap(nil, p) {
+			panic(fmt.Sprintf("memsys: sharing a base into an image that already holds page %d", pi))
+		}
+	}
 }
 
 // FirstDiff reports the lowest byte address at which im and other hold
